@@ -8,9 +8,15 @@ masks).  This module owns the bookkeeping that turns a
 * flattening to a ``(n_series, T)`` matrix and padding the time axis to a
   multiple of the window size;
 * mapping flat series rows to per-dimension member indices and sibling rows;
-* cropping a bounded context of windows around each target;
+* cropping a bounded context of windows around each target, once per
+  distinct (series, target window) pair rather than once per cell;
 * gathering sibling values at the target time, honouring both the dataset's
   availability and the per-sample synthetic missing cuboid used in training.
+
+Training batches do not share windows: each sample hides its own synthetic
+block through ``series_avail_override``, so two samples with equal
+(series, window) ids still see different inputs.  They keep one window per
+sample, and the training sampler needs no change.
 """
 
 from __future__ import annotations
@@ -25,16 +31,28 @@ from repro.data.tensor import TimeSeriesTensor
 
 @dataclass
 class Batch:
-    """Inputs for one forward pass of :class:`repro.core.model.DeepMVIModel`."""
+    """Inputs for one forward pass of :class:`repro.core.model.DeepMVIModel`.
 
-    #: (B, C, w) context-window values (missing -> 0)
+    A batch holds ``B`` target cells and the ``K <= B`` distinct context
+    windows they read.  The temporal transformer's coarse signal depends
+    only on a cell's (series, target window) pair, so cells that share one
+    share a row of the window arrays, and the forward computes that row's
+    attention once; ``cell_window`` maps each cell to its row.  Rows are
+    never shared across requests: :func:`concatenate_batches` keeps every
+    piece's windows apart.  Training batches keep one row per cell
+    (``K == B``), because each sample hides its own synthetic block.
+    """
+
+    #: (K, C, w) context-window values (missing -> 0)
     window_values: np.ndarray
-    #: (B, C, w) availability of the context windows
+    #: (K, C, w) availability of the context windows
     window_avail: np.ndarray
-    #: (B, C) absolute window index of each context window
+    #: (K, C) absolute window index of each context window
     absolute_index: np.ndarray
-    #: (B,) index within the context of the window containing the target
+    #: (K,) index within the context of the window containing the targets
     target_window: np.ndarray
+    #: (B,) row of each cell's context in the (K, ...) window arrays
+    cell_window: np.ndarray
     #: (B,) offset of the target inside its window
     target_offset: np.ndarray
     #: (B, n_dims) member index of the target along each dimension
@@ -54,7 +72,8 @@ class Batch:
 
     @property
     def size(self) -> int:
-        return self.window_values.shape[0]
+        """Number of target cells ``B``."""
+        return self.cell_window.shape[0]
 
 
 def concatenate_batches(batches: Sequence[Batch]) -> Batch:
@@ -65,6 +84,11 @@ def concatenate_batches(batches: Sequence[Batch]) -> Batch:
     they come from contexts over same-shaped tensors with one model's
     configuration.  Used by the fused serving path to run many requests'
     missing cells through a single forward call.
+
+    Each piece's ``cell_window`` is shifted past the windows of the pieces
+    before it, so windows of different requests stay separate rows even
+    when their (series, window) ids are equal: the ids name positions in
+    each request's own tensor, not its values.
     """
     if not batches:
         raise ValueError("cannot concatenate zero batches")
@@ -72,11 +96,16 @@ def concatenate_batches(batches: Sequence[Batch]) -> Batch:
         return batches[0]
     first = batches[0]
     n_dims = len(first.sibling_member_indices)
+    window_offsets = np.cumsum(
+        [0] + [b.window_values.shape[0] for b in batches[:-1]])
     return Batch(
         window_values=np.concatenate([b.window_values for b in batches]),
         window_avail=np.concatenate([b.window_avail for b in batches]),
         absolute_index=np.concatenate([b.absolute_index for b in batches]),
         target_window=np.concatenate([b.target_window for b in batches]),
+        cell_window=np.concatenate(
+            [b.cell_window + offset
+             for b, offset in zip(batches, window_offsets)]),
         target_offset=np.concatenate([b.target_offset for b in batches]),
         member_indices=np.concatenate([b.member_indices for b in batches]),
         sibling_member_indices=[
@@ -266,7 +295,10 @@ class DatasetContext:
         """Start window of the bounded context for each target, plus its size."""
         context = min(self.max_context_windows, self.n_windows)
         target_window = target_time // self.window
-        start = np.clip(target_window - context // 2, 0, self.n_windows - context)
+        # minimum/maximum rather than np.clip, whose wrapper costs more than
+        # the arithmetic on a request's few dozen cells.
+        start = np.minimum(np.maximum(target_window - context // 2, 0),
+                           self.n_windows - context)
         return start.astype(np.int64), context
 
     def build_batch(self, series_rows: np.ndarray, target_times: np.ndarray,
@@ -275,6 +307,11 @@ class DatasetContext:
                     targets: Optional[np.ndarray] = None) -> Batch:
         """Assemble a :class:`Batch` for the given target cells.
 
+        The context windows are gathered once per distinct (series, target
+        window) pair among the cells — the pair fixes the whole bounded
+        context — and ``Batch.cell_window`` points each cell at its pair.
+        With ``series_avail_override`` every cell keeps its own windows.
+
         Parameters
         ----------
         series_rows, target_times:
@@ -282,7 +319,9 @@ class DatasetContext:
         series_avail_override:
             Optional ``(B, padded_time)`` availability of the *target's own
             series* replacing the dataset availability — used during
-            training to hide the synthetic missing block.
+            training to hide the synthetic missing block.  Two samples with
+            equal (series, window) ids then see different inputs, so no
+            windows are shared.
         member_exclusion:
             Optional per-dimension ``(B, S_i)`` boolean arrays marking
             siblings that fall inside the synthetic missing cuboid and must
@@ -295,16 +334,26 @@ class DatasetContext:
         batch = series_rows.shape[0]
         w = self.window
 
-        start, context = self.context_span(target_times)
-        offsets = start[:, None] + np.arange(context)[None, :]             # (B, C)
+        if series_avail_override is None:
+            keys = series_rows * self.n_windows + target_times // w
+            _, first, cell_window = np.unique(
+                keys, return_index=True, return_inverse=True)
+            window_rows = series_rows[first]
+            window_times = target_times[first]
+        else:
+            cell_window = np.arange(batch)
+            window_rows, window_times = series_rows, target_times
+
+        start, context = self.context_span(window_times)
+        offsets = start[:, None] + np.arange(context)[None, :]             # (K, C)
         # One fancy-indexing gather per array, straight from windowed views
-        # of the padded arrays — no (B, T_pad) intermediate.  The views are
+        # of the padded arrays — no (K, T_pad) intermediate.  The views are
         # O(1) reshapes of contiguous data, recomputed per call so the
         # context never carries duplicate buffers (pickling a stored view
         # would serialise the full array twice).
         matrix_windows = self.padded_matrix.reshape(
             self.n_series, self.n_windows, w)
-        window_values = matrix_windows[series_rows[:, None], offsets]
+        window_values = matrix_windows[window_rows[:, None], offsets]
         if series_avail_override is not None:
             rows = np.arange(batch)[:, None]
             window_avail = series_avail_override.reshape(
@@ -312,8 +361,8 @@ class DatasetContext:
         else:
             avail_windows = self.padded_avail.reshape(
                 self.n_series, self.n_windows, w)
-            window_avail = avail_windows[series_rows[:, None], offsets]
-        target_window = (target_times // w) - start
+            window_avail = avail_windows[window_rows[:, None], offsets]
+        target_window = (window_times // w) - start
         target_offset = target_times % w
 
         member_indices = self.index_table[series_rows]                      # (B, n_dims)
@@ -341,6 +390,7 @@ class DatasetContext:
             window_avail=window_avail,
             absolute_index=offsets,
             target_window=target_window,
+            cell_window=cell_window,
             target_offset=target_offset,
             member_indices=member_indices,
             sibling_member_indices=sibling_member_indices,

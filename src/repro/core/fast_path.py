@@ -22,7 +22,15 @@ factorises over keys that can be enumerated at fit time:
   on the sibling values at the target *(series, time)* cell, with the
   learned embeddings and the top-L pre-selection frozen after training.
   They are precomputed per fitted-missing cell.
-* the output layer is a frozen affine map over the concatenated signals.
+* the output layer is a frozen affine map over the concatenated signals,
+  computed with :func:`~repro.nn.functional.row_stable_matmul` exactly as
+  :class:`~repro.nn.layers.Linear` computes it.
+
+None of these signals depends on the other cells of a forward call: an
+answer does not depend on batch composition.  That is why one table row,
+computed once, serves every later request for the same content, and why
+:func:`build_fast_path_tables` can fill the tables from the same per-window
+:class:`~repro.core.context.Batch` the full forward uses.
 
 A request hits the table for cell ``(r, t)`` when its *normalised* data
 agrees with the fitted tensor on every window the prediction reads:
@@ -58,14 +66,15 @@ import numpy as np
 
 from repro.core.context import DatasetContext
 from repro.core.fine_grained import fine_grained_signal
+from repro.nn.functional import row_stable_matmul
 from repro.obs.trace import stage
 
 __all__ = ["FastPathTables", "build_fast_path_tables", "verify_fast_path"]
 
 
-def _chunks(total: int, size: int):
-    for start in range(0, total, size):
-        yield start, min(start + size, total)
+def _rows(parts, row_shape) -> np.ndarray:
+    """Stack per-chunk table rows; an empty ``(0, ...)`` array for none."""
+    return np.concatenate(parts) if parts else np.zeros((0,) + row_shape)
 
 
 @dataclass
@@ -264,8 +273,8 @@ class FastPathTables:
                 features.append(self.kr[cslot[hits]])
             combined = features[0] if len(features) == 1 \
                 else np.concatenate(features, axis=-1)
-            predictions[hits] = \
-                (combined @ self.output_weight + self.output_bias)[:, 0]
+            predictions[hits] = (row_stable_matmul(
+                combined, self.output_weight) + self.output_bias)[:, 0]
             return hits, predictions
 
     # ------------------------------------------------------------------ #
@@ -338,18 +347,20 @@ def build_fast_path_tables(model, context: DatasetContext,
                            batch_size: int = 256) -> FastPathTables:
     """Precompute the serving tables for a fitted model + context.
 
-    Runs the *real* modules (under ``no_grad``, in ``impute_batch_size``
-    chunks) over every fitted-missing cell, so the stored signals are the
-    very values the full forward would compute — the source of the
-    bit-comparable equivalence.  Cost is one imputation sweep's worth of
-    forward passes, paid once per (re)fit instead of once per request.
+    Runs the *real* modules (under ``no_grad``) over every fitted-missing
+    cell in one pass of chunks of about ``batch_size`` cells, so the stored
+    signals are the very values the full forward would compute — the
+    source of the bit-comparable equivalence.  Each chunk's per-window
+    :class:`~repro.core.context.Batch` gives the ``hidden``/``fg`` rows
+    (one per context window) and the ``kr`` rows (one per cell).  Cost is
+    one imputation sweep's worth of forward passes, paid once per (re)fit
+    instead of once per request.
     """
     from repro.nn.tensor import no_grad
 
     start_clock = time.perf_counter()
-    n_filters = None
-    if model.temporal_transformer is not None:
-        n_filters = model.temporal_transformer.n_filters
+    transformer = model.temporal_transformer
+    use_fg = bool(model.config.use_fine_grained)
 
     missing = np.argwhere(context.avail == 0)
     missing = missing[missing[:, 1] < context.n_time]
@@ -359,52 +370,38 @@ def build_fast_path_tables(model, context: DatasetContext,
 
     cell_slot = np.full((context.n_series, context.n_time), -1, dtype=np.int64)
     cell_slot[rows, times] = np.arange(n_cells)
-
-    # One hidden/fg row per distinct (series, window) pair holding at least
-    # one fitted-missing cell; any cell of the pair is a valid
-    # representative because neither signal depends on the offset.
     window_slot = np.full((context.n_series, context.n_windows), -1,
                           dtype=np.int64)
-    pair_keys = rows * context.n_windows + (times // context.window)
-    _, first_index = np.unique(pair_keys, return_index=True)
-    rep_rows = rows[first_index]
-    rep_times = times[first_index]
-    n_pairs = rep_rows.shape[0]
-    window_slot[rep_rows, rep_times // context.window] = np.arange(n_pairs)
 
-    hidden = None
-    fg = None
-    use_fg = bool(model.config.use_fine_grained)
-    if model.temporal_transformer is not None:
-        hidden = np.zeros((n_pairs, n_filters))
-    if use_fg:
-        fg = np.zeros(n_pairs)
-    if n_pairs and (hidden is not None or use_fg):
-        for lo, hi in _chunks(n_pairs, batch_size):
-            batch = context.build_batch(rep_rows[lo:hi], rep_times[lo:hi])
-            if hidden is not None:
-                with no_grad():
-                    pooled = model.temporal_transformer.pooled_hidden(
-                        batch.window_values, batch.window_avail,
-                        batch.absolute_index, batch.target_window)
-                hidden[lo:hi] = pooled.data
-            if use_fg:
-                fg[lo:hi] = fine_grained_signal(
-                    batch.window_values, batch.window_avail,
-                    batch.target_window)[:, 0]
-
-    kr = None
-    if model.kernel_regression is not None:
-        kr = np.zeros((n_cells, model.kernel_regression.output_dim))
-        for lo, hi in _chunks(n_cells, batch_size):
+    # ``argwhere`` lists cells row-major, so the cells of one (series,
+    # window) pair are adjacent and the pair keys ascend.  Chunks end on a
+    # pair boundary, so each pair is one window row of exactly one chunk's
+    # batch and its slot is that row's rank overall.
+    pair_keys = rows * context.n_windows + times // context.window
+    hidden, fg, kr = [], [], []
+    n_pairs = lo = 0
+    with no_grad():
+        while lo < n_cells:
+            last = pair_keys[min(lo + batch_size, n_cells) - 1]
+            hi = int(np.searchsorted(pair_keys, last, side="right"))
             batch = context.build_batch(rows[lo:hi], times[lo:hi])
-            with no_grad():
-                hkr = model.kernel_regression(
+            window_slot[rows[lo:hi], times[lo:hi] // context.window] = \
+                n_pairs + batch.cell_window
+            n_pairs += batch.window_values.shape[0]
+            if transformer is not None:
+                hidden.append(transformer.pooled_hidden(
+                    batch.window_values, batch.window_avail,
+                    batch.absolute_index, batch.target_window).data)
+            if use_fg:
+                fg.append(fine_grained_signal(
+                    batch.window_values, batch.window_avail,
+                    batch.target_window)[:, 0])
+            if model.kernel_regression is not None:
+                kr.append(model.kernel_regression(
                     batch.member_indices, batch.sibling_member_indices,
-                    batch.sibling_values, batch.sibling_avail)
-            kr[lo:hi] = hkr.data
+                    batch.sibling_values, batch.sibling_avail).data)
+            lo = hi
 
-    transformer = model.temporal_transformer
     tables = FastPathTables(
         window=int(context.window),
         n_series=int(context.n_series),
@@ -414,10 +411,12 @@ def build_fast_path_tables(model, context: DatasetContext,
         mean=float(context.mean),
         std=float(context.std),
         window_slot=window_slot,
-        hidden=hidden,
-        fg=fg,
+        hidden=None if transformer is None
+        else _rows(hidden, (transformer.n_filters,)),
+        fg=_rows(fg, ()) if use_fg else None,
         cell_slot=cell_slot,
-        kr=kr,
+        kr=None if model.kernel_regression is None
+        else _rows(kr, (model.kernel_regression.output_dim,)),
         position_decoder=None if transformer is None
         else transformer.position_decoder.data.copy(),
         position_bias=None if transformer is None

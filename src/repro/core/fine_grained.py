@@ -16,20 +16,24 @@ def fine_grained_signal(window_values: np.ndarray, window_avail: np.ndarray,
                         target_window: np.ndarray) -> np.ndarray:
     """Masked mean of the target window's observed values.
 
+    Like the temporal transformer's pooled hidden it is a function of the
+    context window alone, so it is computed once per window row of a
+    :class:`~repro.core.context.Batch` and gathered per cell by the caller.
+
     Parameters
     ----------
     window_values:
-        ``(B, C, w)`` context-window values (missing entries may hold
+        ``(K, C, w)`` context-window values (missing entries may hold
         anything; they are excluded through the mask).
     window_avail:
-        ``(B, C, w)`` availability mask.
+        ``(K, C, w)`` availability mask.
     target_window:
-        ``(B,)`` index within the context of the window containing the
-        target position.
+        ``(K,)`` index within the context of the window containing the
+        target positions.
 
     Returns
     -------
-    ``(B, 1)`` array; zero when the whole target window is missing.
+    ``(K, 1)`` array; zero when the whole target window is missing.
     """
     batch = window_values.shape[0]
     rows = np.arange(batch)

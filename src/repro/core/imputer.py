@@ -130,9 +130,12 @@ class DeepMVIImputer(BaseImputer):
         structure matches (same context width and sibling counts — always
         true for same-shaped tensors) are concatenated and pushed through
         the network together, so a micro-batched ``gather()`` sweep costs a
-        handful of forward calls rather than one per request.  Results come
-        back in input order; each entry of ``tensors`` may be ``None`` for
-        the fitted tensor.
+        handful of forward calls rather than one per request.  Each
+        request's cells keep their own context windows inside the fused
+        batch, and the forward works row by row, so every tensor's answer
+        is bit-identical to imputing it alone.  Results come back in input
+        order; each entry of ``tensors`` may be ``None`` for the fitted
+        tensor.
         """
         if self.model is None or self.context is None:
             raise NotFittedError("call fit() before impute()")

@@ -100,6 +100,12 @@ class DeepMVIModel(Module):
     def forward(self, batch: Batch) -> Tensor:
         """Predict the (normalised) value of every target cell in ``batch``.
 
+        The window signals (``htt``'s attention, ``hfg``) are computed once
+        per context window of the batch and gathered per cell; kernel
+        regression and the output layer run per cell.  Every step is
+        row-independent, so a cell's prediction does not depend on the
+        other cells or requests fused into the batch.
+
         Returns a ``(B,)`` tensor of predictive means.
         """
         features: List[Tensor] = []
@@ -107,13 +113,13 @@ class DeepMVIModel(Module):
         if self.temporal_transformer is not None:
             htt = self.temporal_transformer(
                 batch.window_values, batch.window_avail, batch.absolute_index,
-                batch.target_window, batch.target_offset)
+                batch.target_window, batch.target_offset, batch.cell_window)
             features.append(htt)
 
         if self.config.use_fine_grained:
             hfg = fine_grained_signal(
                 batch.window_values, batch.window_avail, batch.target_window)
-            features.append(Tensor(hfg))
+            features.append(Tensor(hfg[batch.cell_window]))
 
         if self.kernel_regression is not None:
             hkr = self.kernel_regression(

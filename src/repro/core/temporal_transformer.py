@@ -16,6 +16,13 @@ time index from the rest of its own series:
    the target window (Eqns. 13–14), from which the target position's vector
    is selected.
 
+Steps 1–3 and the feed-forward decoder depend only on the target's
+(series, window) pair, so :meth:`TemporalTransformer.forward` runs them once
+per distinct context window of a batch and gathers the result per target
+before the per-offset decode.  No step mixes rows, so a target's output does
+not depend on which other windows share the call — the contract behind
+bit-identical fused serving and the :mod:`repro.core.fast_path` tables.
+
 Implementation note: the paper normalises attention scores by the sum of raw
 inner products (Eqn. 11).  This reproduction uses a masked softmax of scaled
 inner products instead, which implements the same "ignore missing windows,
@@ -100,25 +107,32 @@ class TemporalTransformer(Module):
 
     def forward(self, window_values: np.ndarray, window_avail: np.ndarray,
                 absolute_index: np.ndarray, target_window: np.ndarray,
-                target_offset: np.ndarray) -> Tensor:
+                target_offset: np.ndarray,
+                cell_window: Optional[np.ndarray] = None) -> Tensor:
         """Compute ``htt`` for a batch of target positions.
+
+        The attention runs once per context window (``K`` rows); the
+        per-offset decode runs once per target cell (``B`` rows).
 
         Parameters
         ----------
         window_values:
-            ``(B, C, w)`` values of the context windows with missing entries
+            ``(K, C, w)`` values of the context windows with missing entries
             replaced by zero.
         window_avail:
-            ``(B, C, w)`` availability of those entries (0/1).
+            ``(K, C, w)`` availability of those entries (0/1).
         absolute_index:
-            ``(B, C)`` absolute window index of each context window (for the
+            ``(K, C)`` absolute window index of each context window (for the
             positional encoding).
         target_window:
-            ``(B,)`` index *within the context* of the window containing the
-            target position.
+            ``(K,)`` index *within the context* of the window containing the
+            target positions.
         target_offset:
-            ``(B,)`` offset of the target position within its window
+            ``(B,)`` offset of each target position within its window
             (``t % w``).
+        cell_window:
+            ``(B,)`` context row of each target; ``None`` means one row per
+            target (``K == B``).
 
         Returns
         -------
@@ -127,6 +141,8 @@ class TemporalTransformer(Module):
         """
         hidden = self.pooled_hidden(window_values, window_avail,
                                     absolute_index, target_window)
+        if cell_window is not None:
+            hidden = hidden[cell_window]
         return self.decode_offset(hidden, target_offset)
 
     def pooled_hidden(self, window_values: np.ndarray, window_avail: np.ndarray,
@@ -136,8 +152,12 @@ class TemporalTransformer(Module):
 
         Everything up to (but excluding) the per-offset output transform:
         the result depends only on the target's (series, window) pair, not
-        on the offset within the window — which is what makes it
-        precomputable per window by :mod:`repro.core.fast_path`.
+        on the offset within the window — which is why the forward runs it
+        once per context window and :mod:`repro.core.fast_path` can store
+        it per window.  Every operation either acts on one row at a time or
+        is a :class:`~repro.nn.layers.Linear` (see
+        :func:`repro.nn.functional.row_stable_matmul`), so a row's result
+        is bit-identical whatever other rows share the call.
         """
         batch, context, window = window_values.shape
         if window != self.window:

@@ -55,6 +55,40 @@ def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1,
     return exps / denom
 
 
+def row_stable_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``x @ weight`` for a 2-D ``weight``, with rows independent of batch size.
+
+    OpenBLAS sends a one-row product and every one-column product through
+    gemv, whose rounding differs from gemm's and, for one column, changes
+    with the number of rows.  A row of ``x @ weight`` would then depend on
+    which other rows share the call.  This keeps every row on a path that
+    does not: one column becomes a multiply-then-sum along the last axis,
+    and one row is padded to two rows so it takes the gemm path.  Used by
+    :class:`~repro.nn.layers.Linear` and by the fast-path lookup, so the
+    two compute bit-identical outputs.
+    """
+    if weight.shape[1] == 1:
+        return (x * weight[:, 0]).sum(axis=-1, keepdims=True)
+    if x.ndim == 2 and x.shape[0] == 1:
+        return (np.concatenate([x, x]) @ weight)[:1]
+    return x @ weight
+
+
+def linear(x: Tensor, weight: Tensor) -> Tensor:
+    """Differentiable ``x @ weight`` computed by :func:`row_stable_matmul`."""
+    x = as_tensor(x)
+    weight = as_tensor(weight)
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad @ weight.data.T)
+        if weight.requires_grad:
+            weight._accumulate(np.swapaxes(x.data, -1, -2) @ grad)
+
+    return Tensor._make(row_stable_matmul(x.data, weight.data), (x, weight),
+                        backward)
+
+
 def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` (differentiable)."""
     tensors = [as_tensor(t) for t in tensors]

@@ -126,8 +126,7 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
-        out = x @ self.weight
+        out = F.linear(x, self.weight)
         if self.bias is not None:
             out = out + self.bias
         return out

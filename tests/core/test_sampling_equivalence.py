@@ -43,6 +43,7 @@ def _assert_batches_identical(a, b):
     np.testing.assert_array_equal(a.window_avail, b.window_avail)
     np.testing.assert_array_equal(a.absolute_index, b.absolute_index)
     np.testing.assert_array_equal(a.target_window, b.target_window)
+    np.testing.assert_array_equal(a.cell_window, b.cell_window)
     np.testing.assert_array_equal(a.target_offset, b.target_offset)
     np.testing.assert_array_equal(a.member_indices, b.member_indices)
     np.testing.assert_array_equal(a.targets, b.targets)

@@ -203,3 +203,59 @@ class TestBatchedAttention:
         out.sum().backward()
         assert v.grad is not None
         assert np.any(v.grad != 0)
+
+
+def _model_linear_layers():
+    """Every Linear of a default DeepMVI model, N=1 output layer included."""
+    from repro.core.config import DeepMVIConfig
+    from repro.core.model import DeepMVIModel
+
+    model = DeepMVIModel(DeepMVIConfig(), dimension_sizes=[4, 3])
+    tt = model.temporal_transformer
+    return [tt.query_proj, tt.key_proj, tt.value_proj, tt.decoder1,
+            tt.decoder2, model.output_layer]
+
+
+class TestRowStableMatmul:
+    @pytest.mark.parametrize("layer", _model_linear_layers(),
+                             ids=lambda layer: "x".join(
+                                 map(str, layer.weight.shape)))
+    def test_rows_do_not_depend_on_row_count(self, rng, layer):
+        # The layer's shape with random values: the output layer starts
+        # at zero, which any summation order gets right.
+        weight = rng.normal(size=layer.weight.shape)
+        x = rng.normal(size=(300, weight.shape[0]))
+        full = F.row_stable_matmul(x, weight)
+        for rows in range(1, 300):
+            np.testing.assert_array_equal(
+                F.row_stable_matmul(x[:rows], weight), full[:rows])
+            np.testing.assert_array_equal(
+                F.row_stable_matmul(x[300 - rows:], weight),
+                full[300 - rows:])
+
+    def test_stacked_rows_do_not_depend_on_batch_size(self, rng):
+        weight = rng.normal(size=(8, 16))
+        x = rng.normal(size=(50, 6, 8))
+        full = F.row_stable_matmul(x, weight)
+        for rows in range(1, 50):
+            np.testing.assert_array_equal(
+                F.row_stable_matmul(x[:rows], weight), full[:rows])
+
+    @pytest.mark.parametrize("shape", [(1, 5, 3), (4, 5, 1), (1, 5, 1),
+                                       (4, 5, 3)])
+    def test_matches_matmul(self, rng, shape):
+        rows, inner, cols = shape
+        x = rng.normal(size=(rows, inner))
+        weight = rng.normal(size=(inner, cols))
+        np.testing.assert_allclose(F.row_stable_matmul(x, weight),
+                                   x @ weight, rtol=1e-12, atol=1e-12)
+
+    def test_linear_gradient(self, rng):
+        x = rng.normal(size=(3, 4))
+        weight = rng.normal(size=(4, 1))
+        upstream = rng.normal(size=(3, 1))
+        x_t = Tensor(x, requires_grad=True)
+        w_t = Tensor(weight, requires_grad=True)
+        (F.linear(x_t, w_t) * Tensor(upstream)).sum().backward()
+        np.testing.assert_allclose(x_t.grad, upstream @ weight.T)
+        np.testing.assert_allclose(w_t.grad, x.T @ upstream)
