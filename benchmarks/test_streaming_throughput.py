@@ -1,24 +1,21 @@
-"""Streaming throughput: windows/sec, serial vs. the parallel executor.
+"""Streaming throughput: windows/sec of the serial streaming serving path.
 
 The streaming serving path (:mod:`repro.streaming`) micro-batches each
-step's windows per model and fans distinct streams' batches over the
-engine's process pool.  This harness replays the same multi-stream workload
-twice — ``workers=1`` (serial, in-process) and ``workers=N`` (process pool,
-artifact-path model shipping via a store directory) — and reports
-windows/sec for both, plus the parallel/serial speedup.
+step's windows per model and serves them in process.  This harness replays
+a multi-stream workload and reports windows/sec.  (A process-pool arm was
+deleted with the pool serving path: it measured 0.33-0.40x serial; see
+``benchmarks/README.md``.)
 
 The replayed workload is deliberately compute-heavy per window (SVD
-completion with many iterations on long windows) so the comparison measures
-imputation throughput, not process-pool pickling overhead.  Results land in
+completion with many iterations on long windows) so the number measures
+imputation throughput.  Results land in
 ``benchmarks/results/streaming_throughput.{txt,json}``; the JSON is the
 artifact the CI bench-smoke job uploads.
 
-Under ``REPRO_BENCH_FAST=1`` the workload shrinks to smoke-test size; the
-speedup is then dominated by pool startup and is reported but meaningless.
+Under ``REPRO_BENCH_FAST=1`` the workload shrinks to smoke-test size.
 """
 
 import json
-import os
 
 from repro.data.missing import MissingScenario
 from repro.streaming import replay
@@ -30,59 +27,39 @@ if is_fast():
     DATASET = "airq"
     WINDOW = 24
     SVD_ITERS = 10
-    PARALLEL_WORKERS = 2
 else:
     N_STREAMS = 4
     DATASET = "gas"           # 100 series: SVD per window is genuinely heavy
     WINDOW = 96
     SVD_ITERS = 300
-    PARALLEL_WORKERS = min(4, os.cpu_count() or 1)
 
 SCENARIO = MissingScenario("correlated_failure",
                            {"incomplete_fraction": 0.5, "block_size": 6,
                             "n_events": 2, "jitter": 2})
 
 
-def _replay(workers, store_dir):
+def test_streaming_throughput_serial(results_dir):
     truth = bench_dataset(DATASET, seed=0)
     # tol=0 forces every SVD iteration so the per-window cost is constant
-    # and the serial/parallel comparison measures throughput, not early
-    # convergence luck.
-    return replay(
+    # and the number measures throughput, not early convergence luck.
+    report = replay(
         truth, method="svdimp", scenario=SCENARIO,
         window_size=min(WINDOW, truth.n_time), stride=None,
         refit_every=0,            # fit once per stream, then serve
-        n_streams=N_STREAMS, workers=workers,
-        store_dir=str(store_dir) if store_dir else None,
-        seed=0, max_iters=SVD_ITERS, tol=0.0, rank=8)
+        n_streams=N_STREAMS, seed=0, max_iters=SVD_ITERS, tol=0.0, rank=8)
 
-
-def test_streaming_throughput_serial_vs_parallel(results_dir, tmp_path):
-    serial = _replay(workers=1, store_dir=None)
-    parallel = _replay(workers=PARALLEL_WORKERS, store_dir=tmp_path / "models")
-
-    assert serial.windows == parallel.windows > 0
-    assert serial.failures == 0 and parallel.failures == 0
-    speedup = parallel.windows_per_second / max(serial.windows_per_second,
-                                                1e-9)
+    assert report.windows > 0
+    assert report.failures == 0
 
     lines = [
         f"workload: {DATASET}, {N_STREAMS} streams x "
-        f"{serial.windows // N_STREAMS} windows of {WINDOW} steps, "
+        f"{report.windows // N_STREAMS} windows of {WINDOW} steps, "
         f"svdimp(max_iters={SVD_ITERS}, tol=0), {SCENARIO.describe()}",
-        f"serial   (workers=1):  {serial.windows_per_second:8.2f} windows/sec "
-        f"(mean MAE {serial.mean_mae:.3f})",
-        f"parallel (workers={PARALLEL_WORKERS}):  "
-        f"{parallel.windows_per_second:8.2f} windows/sec "
-        f"(mean MAE {parallel.mean_mae:.3f})",
-        f"speedup: {speedup:.2f}x"
-        + ("  [REPRO_BENCH_FAST: pool startup dominates]" if is_fast() else "")
-        + ("  [single-core host: parallel degrades to the serial path]"
-           if PARALLEL_WORKERS <= 1 else ""),
+        f"serial: {report.windows_per_second:8.2f} windows/sec "
+        f"(mean MAE {report.mean_mae:.3f})",
     ]
     emit(results_dir, "streaming_throughput",
-         "Streaming windows/sec, serial vs parallel executor",
-         "\n".join(lines))
+         "Streaming windows/sec, serial serving path", "\n".join(lines))
 
     payload = {
         "workload": {
@@ -94,15 +71,10 @@ def test_streaming_throughput_serial_vs_parallel(results_dir, tmp_path):
             "scenario": SCENARIO.describe(),
             "fast_mode": is_fast(),
         },
-        "serial": serial.to_record(),
-        "parallel": parallel.to_record(),
-        "speedup": round(speedup, 3),
+        "serial": report.to_record(),
     }
     (results_dir / "streaming_throughput.json").write_text(
         json.dumps(payload, indent=2) + "\n")
-
-    # Identical per-window accuracy regardless of executor width.
-    assert abs(serial.mean_mae - parallel.mean_mae) < 1e-9
 
 
 def test_streaming_scenarios_reachable(results_dir):

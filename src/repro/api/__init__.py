@@ -44,6 +44,7 @@ from repro.api.service import (
     DirectoryBackend,
     ImputationService,
     ModelStore,
+    ServingBackend,
     as_tensor,
     impute,
     make_imputer,
@@ -68,6 +69,7 @@ __all__ = [
     "MetricsSnapshot",
     "ModelRef",
     "ModelStore",
+    "ServingBackend",
     "VersionRegistry",
     "as_tensor",
     "check_model_id",

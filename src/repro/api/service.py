@@ -12,9 +12,15 @@ behind a serving-oriented API on top of the experiment engine:
   model — no retraining;
 * :meth:`~ImputationService.submit` / :meth:`~ImputationService.gather`
   queue many requests and run them **micro-batched**: requests against the
-  same model are grouped into one serving batch that loads the model once,
-  and the batches run through the engine executors (serially, or across a
-  process pool with ``workers=N``).
+  same model are grouped into one serving batch, answered by one fused
+  ``impute_many`` call when the method has one.
+
+Every front door serves through one protocol, :class:`ServingBackend`
+(resolve a ref, check a model, serve a batch, try the fast path, report
+stats).  ``ImputationService`` implements it in process and
+:class:`~repro.cluster.ClusterRouter` across shard processes;
+:func:`execute_serving_batch` is the one collate step that turns a
+micro-batch into a backend call and its :class:`ImputeResult`\ s.
 
 The one-liner for scripts and notebooks::
 
@@ -29,7 +35,8 @@ import dataclasses
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Protocol, Sequence, \
+    Union
 
 import numpy as np
 
@@ -47,14 +54,12 @@ from repro.baselines.registry import ImputerRegistry, get_registry
 from repro.data.dimensions import Dimension
 from repro.data.tensor import TimeSeriesTensor
 from repro.engine.artifacts import MANIFEST_FILENAME, load_imputer, save_imputer
-from repro.engine.executor import ExecutionReport, make_executor
-from repro.engine.jobs import JobResult
 from repro.exceptions import ServiceError, ValidationError
 from repro.obs import trace as obs_trace
 
 __all__ = ["DirectoryBackend", "ImputationService", "LRUModelCache",
-           "ModelStore", "as_tensor", "coerce_impute_request", "impute",
-           "make_imputer"]
+           "ModelStore", "Served", "ServingBackend", "as_tensor",
+           "coerce_impute_request", "impute", "make_imputer"]
 
 TensorLike = Union[TimeSeriesTensor, np.ndarray, Sequence]
 
@@ -189,8 +194,7 @@ class ModelStore:
 
     With a ``directory``, every stored model is also persisted as an
     engine artifact (:func:`repro.engine.artifacts.save_imputer`) under
-    ``directory/<model_id>/``, so models survive restarts and can be served
-    by worker processes that only receive the artifact path.  Persistence
+    ``directory/<model_id>/``, so models survive restarts.  Persistence
     is pluggable: pass ``backend=`` instead of ``directory`` to park models
     somewhere else (the cluster tier stores them as blobs in SQLite via
     :class:`~repro.cluster.store.SQLiteBackend`); ``directory`` is sugar
@@ -353,33 +357,100 @@ class ModelStore:
 
 
 # ---------------------------------------------------------------------- #
-# serving batches (run through the engine executors)
+# the serving backend protocol
+# ---------------------------------------------------------------------- #
+class Served(NamedTuple):
+    """One request's outcome from a :class:`ServingBackend`.
+
+    Exactly one of ``completed`` and ``error`` is set.  A named tuple
+    because one is built per served request.
+    """
+
+    completed: Optional[TimeSeriesTensor] = None
+    #: traceback (or message) when this request failed
+    error: Optional[str] = None
+    #: registry method name of the model that answered
+    method: str = ""
+    #: answered from the precomputed lookup tables
+    fast_path: bool = False
+    #: answered by one call shared with its batch siblings: a fused
+    #: forward in process, one ``serve`` RPC across the cluster
+    fused: bool = False
+    #: compute seconds charged to this request (its share of a shared call)
+    seconds: float = 0.0
+    #: ``perf_counter`` stamp of the moment the answer was ready
+    finished: float = 0.0
+
+    def to_result(self, request: ImputeRequest, model_id,
+                  request_id: Optional[str] = None) -> ImputeResult:
+        """The :class:`ImputeResult` a front door hands back for
+        ``request`` (under ``request_id`` when given)."""
+        return ImputeResult(
+            request_id=request_id or str(request.request_id),
+            model_id=model_id,
+            method=self.method,
+            completed=self.completed,
+            runtime_seconds=self.seconds,
+            latency_seconds=_latency(request, self.finished, self.seconds),
+            from_batch=True,
+            fused=self.fused,
+            fast_path=self.fast_path,
+        )
+
+
+class ServingBackend(Protocol):
+    """What every front door needs from the tier that holds fitted models.
+
+    :class:`ImputationService` serves in process;
+    :class:`~repro.cluster.ClusterRouter` forwards to shard processes.
+    The :class:`~repro.gateway.Gateway` and :func:`execute_serving_batch`
+    use nothing else.  ``model_id`` arguments are concrete store ids, as
+    returned by :meth:`resolve_ref`.
+    """
+
+    def resolve_ref(self, ref) -> str:
+        """Concrete store id a :class:`ModelRef` (or string) serves as."""
+
+    def has_model(self, model_id) -> bool:
+        """Whether the concrete id ``model_id`` can be served."""
+
+    def serve(self, model_id,
+              requests: Sequence[ImputeRequest]) -> List[Served]:
+        """One outcome per request, in order.
+
+        Never raises because one request is bad: its outcome carries the
+        error.  Raises only when no request can be served at all (the
+        model cannot be obtained, the shard is unreachable).
+        """
+
+    def try_fast_path(self, model_id,
+                      tensors: Sequence) -> Optional[List[Served]]:
+        """Lookup-table answers for every tensor, or ``None`` on any miss."""
+
+    def serving_stats(self) -> Dict[str, object]:
+        """``model_cache`` and ``fast_path`` telemetry plus per-shard
+        rollups under ``shards`` (``None`` for an in-process backend)."""
+
+
+# ---------------------------------------------------------------------- #
+# serving batches
 # ---------------------------------------------------------------------- #
 @dataclass
 class ServingBatch:
-    """All queued requests against one fitted model, executed as one job.
-
-    The model crosses to the job either as a live ``imputer`` (serial
-    serving) or as an ``artifact_path`` that the worker loads once for the
-    whole batch (parallel serving) — either way it is fitted exactly once,
-    at :meth:`ImputationService.fit` time.
-    """
+    """Queued requests against one model, served by one backend call."""
 
     model_id: str
-    #: registry method name; ``None`` falls back to the imputer's display
-    #: name once the model is loaded
-    method: Optional[str] = None
+    backend: ServingBackend
     requests: List[ImputeRequest] = field(default_factory=list)
-    imputer: Optional[BaseImputer] = None
-    artifact_path: Optional[str] = None
 
-    def key(self) -> str:
-        ids = ",".join(str(r.request_id) for r in self.requests)
-        return f"serve:{self.model_id}:{ids}"
 
-    def needs_execution(self) -> bool:
-        # Serving results are never cache-served: requests are one-shot.
-        return True
+@dataclass
+class BatchResult:
+    """What :func:`execute_serving_batch` returns: every request lands in
+    exactly one of ``results`` and ``failures`` (request id -> error)."""
+
+    results: List[ImputeResult] = field(default_factory=list)
+    failures: Dict[str, str] = field(default_factory=dict)
 
 
 def _latency(request: ImputeRequest, end: float, compute: float) -> float:
@@ -389,8 +460,8 @@ def _latency(request: ImputeRequest, end: float, compute: float) -> float:
     service's ``submit`` or by the gateway) to ``end``.  Requests served
     without queueing have no stamp and report the compute time itself.
     ``perf_counter`` is CLOCK_MONOTONIC system-wide on the platforms we
-    run, so the stamp stays comparable across the engine's worker
-    processes on one host.
+    run, so a stamp taken by the cluster router stays comparable inside
+    its shard processes on one host.
     """
     if request.enqueued_at is None:
         return compute
@@ -410,152 +481,61 @@ def _fast_path_flags(imputer: BaseImputer, count: int) -> List[bool]:
     return [False] * count
 
 
-def execute_serving_batch(batch: ServingBatch,
-                          key: Optional[str] = None) -> JobResult:
-    """Run one micro-batch: load the model once, impute every request.
+def execute_serving_batch(batch: ServingBatch) -> BatchResult:
+    """Serve one micro-batch through its backend; wrap the outcomes.
 
-    Module-level so :class:`~repro.engine.executor.ParallelExecutor` can
-    pickle it to worker processes.  The returned :class:`JobResult` carries
-    ``{"results": [ImputeResult...], "failures": [{request_id, error}...]}``.
-
-    The batch is first served **fused**: one ``impute_many`` call completes
-    every request through shared forward passes (the whole point of
-    micro-batching — DeepMVI concatenates the requests' missing-cell batches
-    into single network calls).  If the fused call raises, the batch falls
-    back to per-request serving so the failure is isolated to the request
-    that caused it: one bad tensor never discards the finished imputations
-    of its batch siblings.  Only a failure to obtain the model at all
-    (missing artifact, unpicklable state) fails the whole batch.
+    The one collate step of every front door (the gateway's locked path,
+    :meth:`ImputationService.gather`, the shard's ``serve`` op): a single
+    :meth:`ServingBackend.serve` call answers the whole batch, and this
+    function turns its outcomes into :class:`ImputeResult`\\ s and
+    ``serve.*`` spans.  A request that fails lands in ``failures`` on its
+    own; only a backend that cannot serve at all (unknown model, dead
+    shard) fails every request of the batch.
     """
     import traceback
 
-    key = batch.key() if key is None else key
+    start = time.perf_counter()
     try:
-        imputer = batch.imputer
-        if imputer is None:
-            if batch.artifact_path is None:
-                raise ServiceError(
-                    f"serving batch for {batch.model_id!r} has neither a "
-                    "live imputer nor an artifact path")
-            imputer = load_imputer(batch.artifact_path)
-        method = batch.method or getattr(imputer, "name",
-                                         type(imputer).__name__)
+        outcomes = batch.backend.serve(batch.model_id, batch.requests)
     except Exception:
-        return JobResult(key=key, error=traceback.format_exc())
-
-    results: List[ImputeResult] = []
-    failures: List[Dict[str, str]] = []
-    fused_results = None
-    # Only genuinely fused implementations are worth the all-or-nothing
-    # first attempt; the BaseImputer default is the same per-request loop
-    # as the fallback, so running it "fused" would just double-execute the
-    # healthy requests whenever one fails.
-    overrides_impute_many = (type(imputer).impute_many
-                             is not BaseImputer.impute_many)
-    # Tracing: the fused forward can only activate one context for the
-    # imputer-internal stage hooks, so the first traced request hosts them;
-    # every traced request still gets its own serve-stage span below.
-    traced = [request.trace for request in batch.requests
-              if request.trace is not None] if obs_trace.enabled() else []
-    # Remote proxies (the cluster's RemoteModel) expose ``serve_requests``,
-    # which ships the full requests — trace contexts included — across the
-    # RPC instead of stripping them down to bare tensors.
-    serve_requests = getattr(imputer, "serve_requests", None)
-    if len(batch.requests) > 1 and overrides_impute_many:
-        try:
-            with obs_trace.activate(traced[0] if traced else None):
-                start = time.perf_counter()
-                if callable(serve_requests):
-                    completed_many = serve_requests(batch.requests)
-                else:
-                    completed_many = imputer.impute_many(
-                        [request.data for request in batch.requests])
-                end = time.perf_counter()
-            share = (end - start) / len(batch.requests)
-            fast_flags = _fast_path_flags(imputer, len(batch.requests))
-            fused_results = [
-                ImputeResult(
-                    request_id=str(request.request_id),
-                    model_id=batch.model_id,
-                    method=method,
-                    completed=completed,
-                    runtime_seconds=share,
-                    latency_seconds=_latency(request, end, share),
-                    from_batch=True,
-                    fused=True,
-                    fast_path=fast,
-                )
-                for request, completed, fast in zip(
-                    batch.requests, completed_many, fast_flags)
-            ]
-            obs_trace.write_records([
-                obs_trace.span_record(
-                    "serve.fused_forward", request.trace.child(), start, end,
-                    {"batch_size": len(batch.requests), "fast_path": fast,
-                     "model_id": batch.model_id})
-                for request, fast in zip(batch.requests, fast_flags)
-                if request.trace is not None])
-        except Exception:  # repro-lint: allow[swallow]
-            # One request poisoned the fused pass; re-serve one-at-a-time so
-            # the healthy requests still complete and the failure is pinned
-            # to its request id (the per-request loop below captures the
-            # real traceback).
-            fused_results = None
-    if fused_results is not None:
-        return JobResult(key=key, result={"results": fused_results,
-                                          "failures": []})
-
-    serve_spans: List[dict] = []
-    for request in batch.requests:
-        try:
-            with obs_trace.activate(request.trace):
-                start = time.perf_counter()
-                if callable(serve_requests):
-                    completed = serve_requests([request])[0]
-                else:
-                    completed = imputer.impute(request.data)
-                end = time.perf_counter()
-            fast = _fast_path_flags(imputer, 1)[0]
-            if request.trace is not None:
-                serve_spans.append(obs_trace.span_record(
-                    "serve.impute", request.trace.child(), start, end,
-                    {"fast_path": fast, "model_id": batch.model_id}))
-            results.append(ImputeResult(
-                request_id=str(request.request_id),
-                model_id=batch.model_id,
-                method=method,
-                completed=completed,
-                runtime_seconds=end - start,
-                latency_seconds=_latency(request, end, end - start),
-                from_batch=True,
-                fast_path=fast,
-            ))
-        except Exception:
-            failures.append({"request_id": str(request.request_id),
-                             "error": traceback.format_exc()})
-    obs_trace.write_records(serve_spans)
-    return JobResult(key=key,
-                     result={"results": results, "failures": failures})
+        error = traceback.format_exc()
+        return BatchResult(failures={str(request.request_id): error
+                                     for request in batch.requests})
+    result = BatchResult()
+    spans: List[dict] = []
+    for request, served in zip(batch.requests, outcomes):
+        if served.error is not None:
+            result.failures[str(request.request_id)] = served.error
+            continue
+        result.results.append(served.to_result(request, batch.model_id))
+        if request.trace is not None:
+            attrs = {"fast_path": served.fast_path,
+                     "model_id": batch.model_id}
+            if served.fused:
+                attrs["batch_size"] = len(batch.requests)
+            spans.append(obs_trace.span_record(
+                "serve.fused_forward" if served.fused else "serve.impute",
+                request.trace.child(),
+                start if served.fused else served.finished - served.seconds,
+                served.finished, attrs))
+    obs_trace.write_records(spans)
+    return result
 
 
 # ---------------------------------------------------------------------- #
 # the service
 # ---------------------------------------------------------------------- #
 class ImputationService:
-    """Serving façade over the registry, model store and engine executors.
+    """In-process serving over the registry and model store.
+
+    Implements :class:`ServingBackend`, so a
+    :class:`~repro.gateway.Gateway` can front it directly.
 
     Parameters
     ----------
     store_dir:
         Optional directory for the model store; fitted models are persisted
         there as engine artifacts and reloaded lazily.
-    workers:
-        Executor width for :meth:`gather`; ``1`` serves batches serially in
-        process, ``N > 1`` fans distinct models' batches over a process
-        pool.  With a ``store_dir`` workers receive only the artifact path
-        and load the model themselves; without one the fitted imputer is
-        pickled to the pool per batch — correct, but expensive for deep
-        models, so prefer a store directory for parallel serving.
     registry:
         Method registry; defaults to the process-wide plugin registry.
     max_cached_models:
@@ -564,7 +544,7 @@ class ImputationService:
         ``None`` keeps every model in memory (the historical behaviour).
     """
 
-    def __init__(self, store_dir: Optional[str] = None, workers: int = 1,
+    def __init__(self, store_dir: Optional[str] = None,
                  registry: Optional[ImputerRegistry] = None,
                  store: Optional[ModelStore] = None,
                  max_cached_models: Optional[int] = None) -> None:
@@ -577,7 +557,6 @@ class ImputationService:
         journal = self.store.directory / "model_versions.jsonl" \
             if self.store.directory is not None else None
         self.versions = VersionRegistry(journal_path=journal)
-        self.workers = workers
         self._pending: List[ImputeRequest] = []
         self._model_counter = itertools.count(1)
         self._request_counter = itertools.count(1)
@@ -588,8 +567,6 @@ class ImputationService:
         #: training wall-clock per model id (serving results only carry the
         #: per-request impute time)
         self.fit_seconds: Dict[str, float] = {}
-        #: summary of the most recent :meth:`gather` sweep
-        self.last_report: Optional[ExecutionReport] = None
         #: request id → traceback for requests that failed in that sweep
         self.last_errors: Dict[str, str] = {}
 
@@ -647,6 +624,10 @@ class ImputationService:
         pre-versioning behaviour.
         """
         return self.versions.resolve(ModelRef.parse(ref))
+
+    def has_model(self, model_id) -> bool:
+        """Whether the concrete id ``model_id`` is in the store."""
+        return model_id in self.store
 
     def _resolve_request(self, request: ImputeRequest) -> ImputeRequest:
         """Pin a request to the concrete store id its ref resolves to."""
@@ -758,8 +739,8 @@ class ImputationService:
 
         Requests against the same model id are grouped into one
         :class:`ServingBatch` (the model is loaded once per batch, never
-        refitted) and the batches run through an engine executor.  Results
-        come back in submit order.
+        refitted) and each batch is served by :func:`execute_serving_batch`.
+        Results come back in submit order.
 
         Failures are isolated per *request*: a bad tensor neither aborts its
         batch siblings nor other models' batches.  With ``raise_on_error``
@@ -776,26 +757,16 @@ class ImputationService:
         for request in pending:
             batch = batches.get(request.model_id)
             if batch is None:
-                batch = self._new_batch(request.model_id)
-                batches[request.model_id] = batch
+                batch = batches[request.model_id] = ServingBatch(
+                    model_id=request.model_id, backend=self)
             batch.requests.append(request)
-
-        executor = make_executor(self.workers)
-        job_results = executor.run(list(batches.values()),
-                                   run_fn=execute_serving_batch)
-        self.last_report = executor.last_report
         by_id: Dict[str, ImputeResult] = {}
         self.last_errors = {}
-        for batch, job in zip(batches.values(), job_results):
-            if job.ok:
-                for result in job.result["results"]:
-                    by_id[result.request_id] = result
-                for failure in job.result["failures"]:
-                    self.last_errors[failure["request_id"]] = failure["error"]
-            else:
-                # The model itself was unobtainable: every request fails.
-                for request in batch.requests:
-                    self.last_errors[str(request.request_id)] = job.error
+        for batch in batches.values():
+            served = execute_serving_batch(batch)
+            for result in served.results:
+                by_id[result.request_id] = result
+            self.last_errors.update(served.failures)
         ordered = [by_id[str(request.request_id)] for request in pending
                    if str(request.request_id) in by_id]
         if self.last_errors and raise_on_error:
@@ -806,6 +777,101 @@ class ImputationService:
             error.partial_results = ordered
             raise error
         return ordered
+
+    # -- ServingBackend ------------------------------------------------- #
+    def serve(self, model_id,
+              requests: Sequence[ImputeRequest]) -> List[Served]:
+        """Answer ``requests`` with the stored model (:class:`ServingBackend`).
+
+        The batch is first served **fused**: one ``impute_many`` call
+        completes every request through shared forward passes (DeepMVI
+        concatenates the requests' missing-cell batches into single network
+        calls).  If the fused call raises, the batch falls back to
+        per-request serving so the failure is isolated to the request that
+        caused it: one bad tensor never discards the finished imputations
+        of its batch siblings.  Only a model that cannot be obtained at all
+        raises.
+        """
+        import traceback
+
+        imputer = self.store.get(model_id)
+        method = self._method_for(model_id, imputer)
+        # Only genuinely fused implementations are worth the all-or-nothing
+        # first attempt; the BaseImputer default is the same per-request loop
+        # as the fallback, so running it "fused" would just double-execute the
+        # healthy requests whenever one fails.
+        if len(requests) > 1 and \
+                type(imputer).impute_many is not BaseImputer.impute_many:
+            # Tracing: the fused forward can only activate one context for
+            # the imputer-internal stage hooks, so the first traced request
+            # hosts them.
+            traced = next((request.trace for request in requests
+                           if request.trace is not None), None) \
+                if obs_trace.enabled() else None
+            try:
+                with obs_trace.activate(traced):
+                    start = time.perf_counter()
+                    completed_many = imputer.impute_many(
+                        [request.data for request in requests])
+                    end = time.perf_counter()
+            except Exception:  # repro-lint: allow[swallow]
+                # One request poisoned the fused pass; re-serve one-at-a-time
+                # below so the healthy requests still complete and the
+                # failure is pinned to its request (with its real traceback).
+                pass
+            else:
+                share = (end - start) / len(requests)
+                return [Served(completed=completed, method=method,
+                               fast_path=fast, fused=True, seconds=share,
+                               finished=end)
+                        for completed, fast in zip(
+                            completed_many,
+                            _fast_path_flags(imputer, len(requests)))]
+        outcomes: List[Served] = []
+        for request in requests:
+            try:
+                with obs_trace.activate(request.trace):
+                    start = time.perf_counter()
+                    completed = imputer.impute(request.data)
+                    end = time.perf_counter()
+            except Exception:
+                outcomes.append(Served(error=traceback.format_exc(),
+                                       method=method))
+                continue
+            outcomes.append(Served(
+                completed=completed, method=method,
+                fast_path=_fast_path_flags(imputer, 1)[0],
+                seconds=end - start, finished=end))
+        return outcomes
+
+    def try_fast_path(self, model_id,
+                      tensors: Sequence) -> Optional[List[Served]]:
+        """Answer every tensor from the model's lookup tables, or ``None``.
+
+        Reads the model with :meth:`ModelStore.peek` (warm memory only — a
+        cold model should pay its load once, on the :meth:`serve` path) and
+        the imputer's read-only ``try_fast_path``, so it takes no lock.
+        """
+        imputer = self.store.peek(model_id)
+        probe = getattr(imputer, "try_fast_path", None)
+        if not callable(probe):
+            return None
+        start = time.perf_counter()
+        completed_many = probe(tensors)
+        if completed_many is None:
+            return None
+        end = time.perf_counter()
+        share = (end - start) / len(tensors)
+        method = self._method_for(model_id, imputer)
+        return [Served(completed=completed, method=method, fast_path=True,
+                       seconds=share, finished=end)
+                for completed in completed_many]
+
+    def serving_stats(self) -> Dict[str, object]:
+        """Model-cache and fast-path telemetry (:class:`ServingBackend`)."""
+        return {"model_cache": self.store.cache_stats(),
+                "fast_path": self.store.fast_path_stats(),
+                "shards": None}
 
     # -- fast-path lifecycle -------------------------------------------- #
     def refresh_fast_path(self, model_id,
@@ -847,7 +913,6 @@ class ImputationService:
             "models": self.list_models(),
             "pending_requests": len(self._pending),
             "fit_counts": dict(self.fit_counts),
-            "workers": self.workers,
             "store_dir": str(self.store.directory) if self.store.directory
             else None,
             "model_cache": self.store.cache_stats(),
@@ -877,17 +942,6 @@ class ImputationService:
     def _method_for(self, model_id: str, imputer: BaseImputer) -> str:
         return self.store.method_for(model_id) or \
             getattr(imputer, "name", type(imputer).__name__)
-
-    def _new_batch(self, model_id: str) -> ServingBatch:
-        method = self.store.method_for(model_id)
-        if self.workers > 1 and self.store.path(model_id) is not None \
-                and model_id in self.store:
-            # Parallel serving ships only the artifact path; the worker
-            # loads the fitted model once for the whole batch.
-            return ServingBatch(model_id=model_id, method=method,
-                                artifact_path=self.store.path(model_id))
-        return ServingBatch(model_id=model_id, method=method,
-                            imputer=self.store.get(model_id))
 
 
 # ---------------------------------------------------------------------- #

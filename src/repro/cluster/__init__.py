@@ -12,8 +12,9 @@ this package scales *out*:
   :class:`~repro.api.service.ImputationService`, speaking a
   length-prefixed socket protocol over the existing tensor wire codec;
 * :mod:`repro.cluster.router` — a :class:`ClusterRouter` fronting the
-  shards with the same ``submit()/gather()`` surface as the service, plus
-  SQL window-function analytics over the journal.
+  shards with the same ``submit()/gather()`` surface as the service and
+  the :class:`~repro.api.service.ServingBackend` protocol the gateway
+  serves through, plus SQL window-function analytics over the journal.
 
 The two-shard hello world::
 
@@ -28,7 +29,7 @@ The two-shard hello world::
 """
 
 from repro.cluster.ring import HashRing
-from repro.cluster.router import ClusterRouter, RemoteModel, ShardClient
+from repro.cluster.router import ClusterRouter, ShardClient
 from repro.cluster.shard import ShardHandle, ShardServer, replay_pending, start_shard
 from repro.cluster.store import DurableStore, SQLiteBackend, cluster_analytics
 
@@ -36,7 +37,6 @@ __all__ = [
     "ClusterRouter",
     "DurableStore",
     "HashRing",
-    "RemoteModel",
     "SQLiteBackend",
     "ShardClient",
     "ShardHandle",

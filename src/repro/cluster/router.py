@@ -2,11 +2,13 @@
 
 :class:`ClusterRouter` starts N shard worker processes, places model ids
 on a consistent-hash ring, and forwards traffic over the shard socket
-protocol.  It is deliberately shaped like
-:class:`~repro.api.service.ImputationService` — ``fit`` / ``impute`` /
-``submit`` / ``gather`` / ``list_models`` and a ``store`` attribute — so
-the serving :class:`~repro.gateway.Gateway` can front a whole cluster
-unchanged (``Gateway(service=router)``).
+protocol.  It offers the service's ``fit`` / ``impute`` / ``submit`` /
+``gather`` / ``list_models`` and implements
+:class:`~repro.api.service.ServingBackend`, so the serving
+:class:`~repro.gateway.Gateway` can front a whole cluster
+(``Gateway(service=router)``): each gateway batch becomes one ``serve``
+RPC, and the shard's per-request results and failures come back as they
+are.
 
 Failure handling is where the durability work pays off: when a shard
 connection dies mid-call, the router restarts the shard over its durable
@@ -24,6 +26,7 @@ durable log rather than in-process counters.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import socket
 import time
 import uuid
@@ -32,7 +35,12 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.api.refs import ModelRef
 from repro.api.requests import FitRequest, ImputeRequest, ImputeResult
-from repro.api.service import TensorLike, as_tensor, coerce_impute_request
+from repro.api.service import (
+    Served,
+    TensorLike,
+    as_tensor,
+    coerce_impute_request,
+)
 from repro.api.telemetry import MetricsSnapshot
 from repro.api.versioning import VersionRegistry
 from repro.cluster.ring import HashRing
@@ -46,7 +54,7 @@ from repro.cluster.store import DB_FILENAME, cluster_analytics
 from repro.exceptions import ServiceError, ValidationError
 from repro.obs import trace as obs_trace
 
-__all__ = ["ClusterRouter", "RemoteModel", "ShardClient"]
+__all__ = ["ClusterRouter", "ShardClient"]
 
 
 class ShardClient:
@@ -81,128 +89,6 @@ class ShardClient:
                 self._sock.close()
             finally:
                 self._sock = None
-
-
-class RemoteModel:
-    """Gateway-facing proxy for a model living on a shard.
-
-    Quacks just enough like a fitted imputer for the gateway's serving
-    path: ``impute_many`` (one fused ``serve`` RPC for the whole batch —
-    the router-side analogue of a fused forward call), ``impute``, and
-    ``last_impute_info`` so fusion/fast-path flags flow into gateway
-    telemetry.  Deliberately *not* a ``BaseImputer`` subclass: defining
-    its own ``impute_many`` is what routes gateway batches through the
-    single-RPC path.
-    """
-
-    name = "remote"
-
-    def __init__(self, router: "ClusterRouter", model_id: str) -> None:
-        self._router = router
-        self.model_id = model_id
-        #: one entry per tensor of the most recent serve, mirroring
-        #: DeepMVIImputer's telemetry contract
-        self.last_impute_info: List[Dict[str, object]] = []
-
-    def impute_many(self, tensors: Sequence) -> List:
-        results = self._router._serve_remote(self.model_id, list(tensors))
-        self.last_impute_info = [
-            {"fast_path": result.fast_path, "fused": result.fused}
-            for result in results]
-        return [result.completed for result in results]
-
-    def serve_requests(self, requests: Sequence[ImputeRequest]) -> List:
-        """Serve full requests, carrying their trace contexts to the shard.
-
-        The trace-aware sibling of :meth:`impute_many`:
-        ``execute_serving_batch`` prefers it when present, so a traced
-        gateway batch keeps its contexts across the RPC boundary instead
-        of being stripped down to bare tensors.  The router still mints
-        its own request ids — gateway ids are per-gateway counters, not
-        the globally-unique keys the exactly-once ledger needs.
-        """
-        results = self._router._serve_remote(
-            self.model_id,
-            [request.data for request in requests],
-            traces=[request.trace for request in requests])
-        self.last_impute_info = [
-            {"fast_path": result.fast_path, "fused": result.fused}
-            for result in results]
-        return [result.completed for result in results]
-
-    def impute(self, tensor=None):
-        return self.impute_many([tensor])[0]
-
-
-class ClusterModelStore:
-    """``ModelStore``-shaped façade over the cluster, for the gateway.
-
-    ``get``/``peek`` hand out :class:`RemoteModel` proxies; membership and
-    listings ask the owning shard over the wire (memoised — model ids are
-    immutable once fitted); cache and fast-path telemetry aggregate the
-    per-shard stores.
-    """
-
-    def __init__(self, router: "ClusterRouter") -> None:
-        self._router = router
-        #: no artifact directory: the artifacts live in the shards' SQLite
-        self.directory = None
-        self._remote_models: Dict[str, RemoteModel] = {}
-        self._known: set = set()
-
-    def __contains__(self, model_id: str) -> bool:
-        if model_id in self._known:
-            return True
-        try:
-            owner = self._router.ring.assign(model_id)
-            reply = self._router._call(owner, {"op": "has_model",
-                                               "model_id": model_id})
-        except (ServiceError, ConnectionError, OSError, LookupError):
-            return False
-        if reply.get("exists"):
-            self._known.add(model_id)
-            return True
-        return False
-
-    def get(self, model_id: str) -> RemoteModel:
-        if model_id not in self:
-            raise ServiceError(f"unknown model id {model_id!r}; known: "
-                               + (", ".join(self._router.list_models())
-                                  or "<none>"))
-        proxy = self._remote_models.get(model_id)
-        if proxy is None:
-            proxy = self._remote_models[model_id] = RemoteModel(
-                self._router, model_id)
-        return proxy
-
-    def peek(self, model_id: str) -> Optional[RemoteModel]:
-        # No try_fast_path on RemoteModel, so the gateway's no-lock fast
-        # lane declines and batches flow through the fused RPC path.
-        return self._remote_models.get(model_id)
-
-    def method_for(self, model_id: str) -> Optional[str]:
-        return self._router._methods.get(model_id)
-
-    def list_models(self) -> List[str]:
-        return self._router.list_models()
-
-    def cache_stats(self) -> Dict[str, object]:
-        """Cluster-wide LRU telemetry: per-shard counters summed."""
-        totals = {"size": 0, "bytes": 0, "hits": 0, "misses": 0,
-                  "evictions": 0}
-        for stats in self._router.shard_stats().values():
-            cache = stats.get("model_cache") or {}
-            for key in totals:
-                totals[key] += int(cache.get(key) or 0)
-        lookups = totals["hits"] + totals["misses"]
-        totals["hit_rate"] = (totals["hits"] / lookups) if lookups else 0.0
-        return totals
-
-    def fast_path_stats(self) -> Dict[str, Dict[str, object]]:
-        merged: Dict[str, Dict[str, object]] = {}
-        for stats in self._router.shard_stats().values():
-            merged.update(stats.get("fast_path") or {})
-        return merged
 
 
 class ClusterRouter:
@@ -242,10 +128,11 @@ class ClusterRouter:
         self.ring = HashRing(self.shard_names, replicas=replicas)
         self.handles: Dict[str, ShardHandle] = {}
         self._clients: Dict[str, ShardClient] = {}
-        #: model id -> registry method name (filled by fit/put_model)
-        self._methods: Dict[str, str] = {}
         self._model_counter = 0
-        self._request_counter = 0
+        self._request_counter = itertools.count(1)
+        #: model ids a shard confirmed it stores (ids are immutable once
+        #: fitted, so the answer never goes stale)
+        self._known: set = set()
         #: per-router id nonce: a restarted router must never mint an id a
         #: previous router already burned into a shard's ledger
         self._nonce = uuid.uuid4().hex[:8]
@@ -262,7 +149,6 @@ class ClusterRouter:
         #: replays serving pointers and in-flight candidates
         self.versions = VersionRegistry(
             journal_path=self.directory / "model_versions.jsonl")
-        self._store = ClusterModelStore(self)
         if start:
             for name in self.shard_names:
                 self._start(name)
@@ -389,9 +275,7 @@ class ClusterRouter:
         owner = self.ring.assign(request.model_id)
         reply = self._call(owner, {"op": "fit",
                                    "request": request.to_dict()})
-        self._methods[reply["model_id"]] = reply.get("method") \
-            or request.method
-        self._store._known.add(reply["model_id"])
+        self._known.add(reply["model_id"])
         return reply["model_id"]
 
     def put_model(self, model_id: str, imputer,
@@ -405,16 +289,10 @@ class ClusterRouter:
         blob = base64.b64encode(dump_imputer_bytes(imputer)).decode("ascii")
         self._call(owner, {"op": "put_model", "model_id": model_id,
                            "method": method, "blob": blob})
-        if method is not None:
-            self._methods[model_id] = method
-        self._store._known.add(model_id)
+        self._known.add(model_id)
         return model_id
 
     # -- serving --------------------------------------------------------- #
-    @property
-    def store(self) -> ClusterModelStore:
-        return self._store
-
     def resolve_ref(self, ref) -> str:
         """Concrete model id a :class:`ModelRef` (or string) serves as."""
         return self.versions.resolve(ModelRef.parse(ref))
@@ -436,13 +314,12 @@ class ClusterRouter:
         """Queue one request for the next :meth:`gather`; returns its id."""
         request = self._resolve_request(
             coerce_impute_request(request, model_id))
-        if request.model_id not in self._store:
+        if not self.has_model(request.model_id):
             raise ServiceError(
                 f"unknown model id {request.model_id!r}; fit() a model "
                 "through this router first")
         if request.request_id is None:
-            self._request_counter += 1
-            request_id = f"req-{self._nonce}-{self._request_counter:06d}"
+            request_id = self._next_request_id()
         else:
             request_id = str(request.request_id)
         if request_id in self._pending_ids:
@@ -531,60 +408,128 @@ class ClusterRouter:
 
     def impute(self, request=None, model_id=None,
                deadline_ms: Optional[float] = None) -> ImputeResult:
-        """Serve one request immediately (no queueing)."""
+        """Serve one request immediately (no queueing).
+
+        A caller-supplied request id is kept, so resending it after a
+        failure is answered from the shard's ledger.
+        """
         request = self._resolve_request(
             coerce_impute_request(request, model_id))
-        results = self._serve_remote(
-            request.model_id,
-            [request.data],
-            request_ids=[str(request.request_id)]
-            if request.request_id is not None else None,
-            deadline_ms=deadline_ms)
-        return results[0]
+        request_id = str(request.request_id) \
+            if request.request_id is not None else self._next_request_id()
+        reply = self._serve_rpc(request.model_id, [request], [request_id],
+                                deadline_ms=deadline_ms)
+        if reply["failures"]:
+            raise ServiceError(
+                f"request {request_id!r} failed on shard "
+                f"{self.ring.assign(request.model_id)!r}:\n"
+                f"{reply['failures'][0]['error']}")
+        return ImputeResult.from_dict(reply["results"][request_id])
 
-    def _serve_remote(self, model_id: str, tensors: List,
-                      request_ids: Optional[List[str]] = None,
-                      deadline_ms: Optional[float] = None,
-                      traces: Optional[List] = None,
-                      ) -> List[ImputeResult]:
-        """Serve ``tensors`` against one model in a single shard RPC.
+    # -- ServingBackend ---------------------------------------------------- #
+    def has_model(self, model_id) -> bool:
+        """Whether the owning shard stores ``model_id`` (memoised)."""
+        if model_id in self._known:
+            return True
+        try:
+            reply = self._call(self.ring.assign(model_id),
+                               {"op": "has_model", "model_id": model_id})
+        except (ServiceError, ConnectionError, OSError, LookupError):
+            return False
+        if reply.get("exists"):
+            self._known.add(model_id)
+            return True
+        return False
 
-        ``traces`` (parallel to ``tensors``) carries the callers'
-        :class:`~repro.obs.TraceContext`\\ s across the hop: each traced
-        request gets an RPC child context written as its ``cluster.rpc``
-        span here and shipped in the wire payload so the shard's spans
-        parent under it.
+    def serve(self, model_id,
+              requests: Sequence[ImputeRequest]) -> List[Served]:
+        """Answer ``requests`` in one ``serve`` RPC to the owning shard.
+
+        Each request gets a fresh router id once — gateway ids are
+        per-gateway counters, not the globally unique keys the exactly-once
+        ledger needs.  The shard's per-request results and failures come
+        back as they are: a bad request fails alone, and nothing is resent
+        under a new id.  A multi-request batch reports ``fused``: it shared
+        one RPC.
+        """
+        request_ids = [self._next_request_id() for _ in requests]
+        start = time.perf_counter()
+        reply = self._serve_rpc(model_id, requests, request_ids)
+        end = time.perf_counter()
+        share = (end - start) / max(1, len(requests))
+        fused = len(requests) > 1
+        errors = {failure["request_id"]: failure["error"]
+                  for failure in reply["failures"]}
+        outcomes = []
+        for request_id in request_ids:
+            wire = reply["results"].get(request_id)
+            if wire is None:
+                outcomes.append(Served(error=errors.get(
+                    request_id, f"shard sent no answer for {request_id!r}")))
+                continue
+            result = ImputeResult.from_dict(wire)
+            outcomes.append(Served(
+                completed=result.completed, method=result.method,
+                fast_path=result.fast_path, fused=fused, seconds=share,
+                finished=end))
+        return outcomes
+
+    def try_fast_path(self, model_id,
+                      tensors: Sequence) -> Optional[List[Served]]:
+        """Always ``None``: the lookup tables live in the shard processes,
+        so every batch takes the :meth:`serve` RPC."""
+        return None
+
+    def serving_stats(self) -> Dict[str, object]:
+        """Per-shard rollups, with the shards' LRU counters summed and
+        their fast-path telemetry merged."""
+        shards = self.shard_stats()
+        cache = {"size": 0, "bytes": 0, "hits": 0, "misses": 0,
+                 "evictions": 0}
+        fast_path: Dict[str, Dict[str, object]] = {}
+        for stats in shards.values():
+            for key in cache:
+                cache[key] += int((stats.get("model_cache") or {})
+                                  .get(key) or 0)
+            fast_path.update(stats.get("fast_path") or {})
+        lookups = cache["hits"] + cache["misses"]
+        return {"model_cache": {**cache, "hit_rate": (cache["hits"] / lookups)
+                                if lookups else 0.0},
+                "fast_path": fast_path,
+                "shards": shards}
+
+    def _next_request_id(self) -> str:
+        return f"req-{self._nonce}-{next(self._request_counter):06d}"
+
+    def _serve_rpc(self, model_id: str, requests: Sequence[ImputeRequest],
+                   request_ids: List[str],
+                   deadline_ms: Optional[float] = None) -> Dict:
+        """Send ``requests`` under ``request_ids`` in one shard RPC.
+
+        A traced request gets an RPC child context, written as its
+        ``cluster.rpc`` span here and shipped in the wire payload so the
+        shard's spans parent under it.  Returns the shard's reply.
         """
         now = time.perf_counter()
         deadline_ms = (self.default_deadline_ms
                        if deadline_ms is None else deadline_ms)
+        deadline_at = None if deadline_ms is None \
+            else now + deadline_ms / 1000.0
         entries = []
         rpc_ctxs = []
-        for index, tensor in enumerate(tensors):
-            if request_ids is not None:
-                request_id = request_ids[index]
-            else:
-                self._request_counter += 1
-                request_id = f"req-{self._nonce}-{self._request_counter:06d}"
-            ctx = traces[index] if traces is not None else None
-            rpc_ctx = ctx.child() if ctx is not None \
+        for request, request_id in zip(requests, request_ids):
+            rpc_ctx = request.trace.child() if request.trace is not None \
                 and obs_trace.enabled() else None
             encode_start = time.perf_counter()
-            wire = ImputeRequest(
-                model_id=model_id,
-                data=as_tensor(tensor) if tensor is not None else None,
-                request_id=request_id,
-                trace=rpc_ctx).to_dict()
+            wire = ImputeRequest(model_id=model_id, data=request.data,
+                                 request_id=request_id,
+                                 trace=rpc_ctx).to_dict()
             if rpc_ctx is not None:
                 obs_trace.write_span("wire.encode", rpc_ctx.child(),
                                      encode_start, time.perf_counter())
                 rpc_ctxs.append(rpc_ctx)
-            entries.append({
-                "request": wire,
-                "enqueued_at": now,
-                "deadline_at": (None if deadline_ms is None
-                                else now + deadline_ms / 1000.0),
-            })
+            entries.append({"request": wire, "enqueued_at": now,
+                            "deadline_at": deadline_at})
         owner = self.ring.assign(model_id)
         reply = self._call(owner, {"op": "serve", "entries": entries})
         call_end = time.perf_counter()
@@ -595,15 +540,7 @@ class ClusterRouter:
                                  {"shard": owner,
                                   "batch_size": len(entries)})
         self.last_deduped = int(reply.get("deduped", 0))
-        if reply["failures"]:
-            first = reply["failures"][0]
-            raise ServiceError(
-                f"{len(reply['failures'])} request(s) failed on shard "
-                f"{owner!r}; first ({first['request_id']!r}):\n"
-                f"{first['error']}")
-        return [ImputeResult.from_dict(
-                    reply["results"][entry["request"]["request_id"]])
-                for entry in entries]
+        return reply
 
     # -- introspection ---------------------------------------------------- #
     def pending_count(self) -> int:

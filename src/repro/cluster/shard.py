@@ -117,27 +117,18 @@ def replay_pending(store: DurableStore,
                     "model not stored on this shard (stale ring?)")
             summary["stale"] += len(entries)
             continue
-        requests = [ImputeRequest.from_dict(entry["payload"])
-                    for entry in entries]
-        batch = ServingBatch(model_id=model_id,
-                             method=service.store.method_for(model_id),
-                             requests=requests,
-                             imputer=service.store.get(model_id))
-        job = execute_serving_batch(batch)
-        if not job.ok:
-            for entry in entries:
-                store.mark_failed(entry["request_id"], model_id, job.error)
-            summary["failed"] += len(entries)
-            continue
-        for result in job.result["results"]:
+        served = execute_serving_batch(ServingBatch(
+            model_id=model_id, backend=service,
+            requests=[ImputeRequest.from_dict(entry["payload"])
+                      for entry in entries]))
+        for result in served.results:
             inserted = store.commit_result(
                 result.request_id, model_id, result.to_dict(),
                 latency_seconds=result.latency_seconds,
                 fused=result.fused, fast_path=result.fast_path)
             summary["replayed" if inserted else "deduped"] += 1
-        for failure in job.result["failures"]:
-            store.mark_failed(failure["request_id"], model_id,
-                              failure["error"])
+        for request_id, error in served.failures.items():
+            store.mark_failed(request_id, model_id, error)
             summary["failed"] += 1
     return summary
 
@@ -321,21 +312,10 @@ class ShardServer:
                     request = dataclasses.replace(request, trace=serve_ctx)
                     serve_ctxs[str(request.request_id)] = serve_ctx
                 requests.append(request)
-            batch = ServingBatch(
-                model_id=model_id,
-                method=self.service.store.method_for(model_id),
-                requests=requests,
-                imputer=self.service.store.get(model_id))
             serve_start = time.perf_counter()
-            job = execute_serving_batch(batch)
-            if not job.ok:
-                for entry in entries:
-                    request_id = entry["request"]["request_id"]
-                    self.store.mark_failed(request_id, model_id, job.error)
-                    failures.append({"request_id": request_id,
-                                     "error": job.error})
-                continue
-            for result in job.result["results"]:
+            served = execute_serving_batch(ServingBatch(
+                model_id=model_id, backend=self.service, requests=requests))
+            for result in served.results:
                 wire_result = result.to_dict()
                 commit_start = time.perf_counter()
                 inserted = self.store.commit_result(
@@ -358,10 +338,9 @@ class ShardServer:
                     deduped += 1
                     wire_result = self.store.get_result(result.request_id)
                 results[result.request_id] = wire_result
-            for failure in job.result["failures"]:
-                self.store.mark_failed(failure["request_id"], model_id,
-                                       failure["error"])
-                failures.append(failure)
+            for request_id, error in served.failures.items():
+                self.store.mark_failed(request_id, model_id, error)
+                failures.append({"request_id": request_id, "error": error})
         return {"ok": True, "results": results, "failures": failures,
                 "deduped": deduped}
 

@@ -1,10 +1,12 @@
 """The concurrent serving gateway.
 
-:class:`Gateway` turns the fit-once/serve-many
-:class:`~repro.api.ImputationService` into a traffic-facing system: many
+:class:`Gateway` turns a :class:`~repro.api.service.ServingBackend` — the
+in-process :class:`~repro.api.ImputationService` or a
+:class:`~repro.cluster.ClusterRouter` — into a traffic-facing system: many
 producer threads :meth:`submit` impute requests concurrently, and a small
 pool of worker threads serves them through the fused
-``execute_serving_batch`` hot path as fast as the hardware allows.
+``execute_serving_batch`` hot path as fast as the hardware allows.  The
+gateway uses the backend protocol and nothing else.
 
 The pipeline::
 
@@ -59,8 +61,8 @@ from repro.api.requests import ImputeRequest, ImputeResult
 from repro.api.telemetry import MetricsSnapshot
 from repro.api.service import (
     ImputationService,
+    ServingBackend,
     ServingBatch,
-    _latency,
     coerce_impute_request,
     execute_serving_batch,
 )
@@ -162,13 +164,15 @@ class GatewayConfig:
 
 
 class Gateway:
-    """Concurrent serving front end over an :class:`ImputationService`.
+    """Concurrent serving front end over a :class:`ServingBackend`.
 
     Parameters
     ----------
     service:
-        The service whose fitted models this gateway serves.  Built fresh
-        (``store_dir`` + ``config.max_cached_models``) when omitted.
+        The backend whose fitted models this gateway serves: an
+        :class:`ImputationService` or a cluster router.  An
+        :class:`ImputationService` is built fresh (``store_dir`` +
+        ``config.max_cached_models``) when omitted.
     config:
         A :class:`GatewayConfig`; keyword overrides may be passed instead
         (``Gateway(service, max_batch_size=32)``).
@@ -180,7 +184,7 @@ class Gateway:
         for tests and for staging load before opening the tap.
     """
 
-    def __init__(self, service: Optional[ImputationService] = None,
+    def __init__(self, service: Optional[ServingBackend] = None,
                  config: Optional[GatewayConfig] = None,
                  store_dir: Optional[str] = None, start: bool = True,
                  **config_overrides) -> None:
@@ -188,7 +192,7 @@ class Gateway:
             raise ValidationError(
                 "pass either a GatewayConfig or keyword overrides, not both")
         self.config = (config or GatewayConfig(**config_overrides)).validate()
-        self.service = service or ImputationService(
+        self.service: ServingBackend = service or ImputationService(
             store_dir=store_dir,
             max_cached_models=self.config.max_cached_models)
         self.metrics = GatewayMetrics()
@@ -301,12 +305,10 @@ class Gateway:
         # the front door: batching groups, model locks and the fast lane
         # all key on concrete ids, and ``@latest`` must pin to whatever
         # the lineage serves *now*, not at some later dispatch time.
-        resolver = getattr(self.service, "resolve_ref", None)
-        if callable(resolver):
-            concrete = resolver(request.model_ref)
-            if request.model_id != concrete:
-                request = dataclasses.replace(request, model_id=concrete)
-        if request.model_id not in self.service.store:
+        concrete = self.service.resolve_ref(request.model_ref)
+        if request.model_id != concrete:
+            request = dataclasses.replace(request, model_id=concrete)
+        if not self.service.has_model(request.model_id):
             raise ServiceError(
                 f"unknown model id {request.model_id!r}; fit() it on the "
                 "gateway's service first")
@@ -385,25 +387,24 @@ class Gateway:
         Mapping protocol).  Includes ``fast_path_hit_rate`` (fraction of
         completions served
         entirely from lookup tables) and per-model ``fast_path`` table
-        provenance: build seconds, size, staleness age.  When the wrapped
-        service is a cluster router (anything exposing ``shard_stats()``),
-        the snapshot also carries per-shard rollups under ``"shards"``.
+        provenance: build seconds, size, staleness age.  When the backend
+        is a cluster router, the snapshot also carries per-shard rollups
+        under ``"shards"``.
         """
-        shard_probe = getattr(self.service, "shard_stats", None)
+        serving = self.service.serving_stats()
         return self.metrics.snapshot(
             queue_depth=self._queue.depth(),
             lane_depths=self._queue.lane_depths(),
-            model_cache=self.service.store.cache_stats(),
-            fast_path=self.service.store.fast_path_stats(),
-            shards=shard_probe() if callable(shard_probe) else None)
+            model_cache=serving["model_cache"],
+            fast_path=serving["fast_path"],
+            shards=serving["shards"])
 
     def describe(self) -> Dict[str, object]:
-        """Config + live stats + wrapped-service snapshot, for logs."""
+        """Config + live stats (backend telemetry included), for logs."""
         return {
             "config": dataclasses.asdict(self.config),
             "running": self.running,
             "stats": self.stats(),
-            "service": self.service.describe(),
         }
 
     # -- internals ------------------------------------------------------- #
@@ -517,29 +518,14 @@ class Gateway:
         # Distinct models still serve concurrently across workers.
         try:
             with self._model_lock(model_id):
-                try:
-                    imputer = self.service.store.get(model_id)
-                except Exception as error:
-                    self._fail_all(live, ServiceError(
-                        f"model {model_id!r} could not be obtained: {error}"))
-                    return
-                serving = ServingBatch(
-                    model_id=model_id,
-                    method=self.service.store.method_for(model_id),
-                    requests=[entry.request for entry in live],
-                    imputer=imputer)
-                job = execute_serving_batch(serving)
+                served = execute_serving_batch(ServingBatch(
+                    model_id=model_id, backend=self.service,
+                    requests=[entry.request for entry in live]))
         finally:
             self._close_batch_spans(traced, batch_spans, dispatched,
                                     len(live), fast_lane=False)
-        if not job.ok:
-            self._fail_all(live, ServiceError(
-                f"serving batch for model {model_id!r} failed:\n{job.error}"))
-            return
-        results = {result.request_id: result
-                   for result in job.result["results"]}
-        errors = {failure["request_id"]: failure["error"]
-                  for failure in job.result["failures"]}
+        results = {result.request_id: result for result in served.results}
+        errors = served.failures
         for entry in live:
             internal_id = str(entry.request.request_id)
             result = results.get(internal_id)
@@ -582,22 +568,17 @@ class Gateway:
                        live: List[QueuedRequest]) -> bool:
         """Serve the whole batch from lookup tables; False on any miss.
 
-        Reads the model with :meth:`ModelStore.peek` (warm memory only —
-        a cold model should pay its disk load under the model lock, once)
-        and the imputer's read-only ``try_fast_path``, so this path takes
-        no lock and can run concurrently with a locked full forward on
-        the same model.
+        The backend's ``try_fast_path`` reads warm models only and takes
+        no lock, so this path can run concurrently with a locked full
+        forward on the same model.
         """
-        imputer = self.service.store.peek(model_id)
-        probe = getattr(imputer, "try_fast_path", None)
-        if not callable(probe):
-            return False
         first_trace = next((entry.request.trace for entry in live
                             if entry.request.trace is not None), None)
         start = time.perf_counter()
         try:
             with obs_trace.activate(first_trace):
-                completed = probe([entry.request.data for entry in live])
+                served = self.service.try_fast_path(
+                    model_id, [entry.request.data for entry in live])
         except Exception:
             # The fast lane is opportunistic: any failure (a structurally
             # odd tensor, a mid-refresh model) falls back to the locked
@@ -610,30 +591,17 @@ class Gateway:
                          "locked batch path", model_id, exc_info=True)
             self._write_fast_lane_spans(live, start, hit=False)
             return False
-        if completed is None:
+        if served is None:
             self._write_fast_lane_spans(live, start, hit=False)
             return False
-        end = time.perf_counter()
         self._write_fast_lane_spans(live, start, hit=True)
-        share = (end - start) / len(live)
-        method = self.service.store.method_for(model_id) or \
-            getattr(imputer, "name", type(imputer).__name__)
-        for entry, tensor in zip(live, completed):
-            request = entry.request
-            result = ImputeResult(
-                request_id=entry.caller_id or str(request.request_id),
-                model_id=model_id,
-                method=method,
-                completed=tensor,
-                runtime_seconds=share,
-                latency_seconds=_latency(request, end, share),
-                from_batch=True,
-                fused=False,
-                fast_path=True,
-            )
+        for entry, outcome in zip(live, served):
+            result = outcome.to_result(entry.request, model_id,
+                                       request_id=entry.caller_id)
             entry.complete(result)
             self.metrics.record_completion(result.latency_seconds,
-                                           fused=False, fast_path=True)
+                                           fused=result.fused,
+                                           fast_path=result.fast_path)
         return True
 
     def _write_fast_lane_spans(self, live: List[QueuedRequest],

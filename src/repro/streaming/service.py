@@ -7,8 +7,8 @@ history, refreshed every ``refit_every`` windows); each serving *step*
 takes the next pending window of every stream and pushes them through the
 service's micro-batched ``submit``/``gather`` path, so
 
-* windows of distinct streams run concurrently (one serving batch per
-  model, fanned over the engine's process pool with ``workers > 1``), and
+* the windows queued against one model are fused into one serving batch,
+  and
 * a failure is isolated to its stream and window — a poisoned window
   produces one failed :class:`StreamWindowResult` while every other
   stream's window in the same step completes normally.
@@ -23,7 +23,7 @@ waits that gap out when determinism matters more than latency.
 
 The typical loop::
 
-    svc = StreamingService(workers=4, store_dir="models/")
+    svc = StreamingService(store_dir="models/")
     svc.open_stream("plant-a", method="svdimp", refit_every=8)
     svc.open_stream("plant-b", method="interpolation")
     for window_a, window_b in zip(stream_a, stream_b):
@@ -129,25 +129,21 @@ class StreamingService:
     ----------
     service:
         The :class:`~repro.api.ImputationService` to serve through; built
-        from ``store_dir``/``workers`` when omitted.
+        from ``store_dir`` when omitted.
     store_dir:
-        Model-store directory; required for parallel serving to ship only
-        artifact paths to worker processes.
-    workers:
-        Executor width for each serving step; with ``N > 1`` the streams'
-        serving batches fan out over a process pool.
+        Model-store directory, so fitted stream models persist.
     default_refit_every / default_max_history:
         Stream defaults, overridable per :meth:`open_stream`.
     """
 
     def __init__(self, service: Optional[ImputationService] = None,
-                 store_dir: Optional[str] = None, workers: int = 1,
+                 store_dir: Optional[str] = None,
                  registry: Optional[ImputerRegistry] = None,
                  default_refit_every: int = 8,
                  default_max_history: Optional[int] = 512) -> None:
         self.registry = registry or get_registry()
         self.service = service or ImputationService(
-            store_dir=store_dir, workers=workers, registry=self.registry)
+            store_dir=store_dir, registry=self.registry)
         self.default_refit_every = default_refit_every
         self.default_max_history = default_max_history
         self._streams: Dict[str, StreamState] = {}
@@ -319,8 +315,8 @@ class StreamingService:
         Refits (when due) run first, serially in this process — they are
         rare by construction.  The impute requests of every stream then go
         through one ``submit``/``gather`` sweep of the wrapped service, so
-        distinct streams' windows are served concurrently and the windows
-        queued against one model are **fused** into shared forward calls.
+        the windows queued against one model are **fused** into shared
+        forward calls.
 
         ``max_windows`` bounds how many pending windows each stream serves
         in this step: the default ``1`` keeps the historical one-window
@@ -335,7 +331,8 @@ class StreamingService:
         lane (so a backlog drain never starves live interactive traffic),
         its adaptive batcher fuses them with whatever else is in flight,
         and this call blocks until every window of the step resolves.  The
-        gateway must serve the same model store as this streaming service.
+        gateway must front this streaming service's own
+        :class:`~repro.api.ImputationService`.
 
         Failures never propagate across streams: each becomes a per-window
         error result.
@@ -346,9 +343,9 @@ class StreamingService:
         rejected up front.
         """
         if gateway is not None:
-            if gateway.service.store is not self.service.store:
+            if gateway.service is not self.service:
                 raise ServiceError(
-                    "the gateway serves a different model store than this "
+                    "the gateway fronts a different backend than this "
                     "streaming service; build it over the same "
                     "ImputationService (Gateway(streaming.service, ...))")
             if not gateway.running:

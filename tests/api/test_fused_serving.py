@@ -215,24 +215,18 @@ class TestFusedGather:
         assert clone.latency_seconds == pytest.approx(
             result.latency_seconds)
 
-    def test_parallel_gather_fuses_and_matches_serial(self, truth, tmp_path):
+    def test_unfused_method_gather_is_batched_not_fused(self, truth):
         incomplete, _ = apply_scenario(truth, SCENARIO, seed=0)
         tensors = _requests(truth, (1, 2, 3))
-
-        serial = ImputationService(store_dir=str(tmp_path / "serial"))
-        model_id = serial.fit(incomplete, method="svdimp", rank=3)
+        service = ImputationService()
+        model_id = service.fit(incomplete, method="svdimp", rank=3)
+        direct = [service.impute(tensor, model_id=model_id)
+                  for tensor in tensors]
         for tensor in tensors:
-            serial.submit(tensor, model_id=model_id)
-        serial_results = serial.gather()
-
-        parallel = ImputationService(store_dir=str(tmp_path / "serial"),
-                                     workers=2)
-        for tensor in tensors:
-            parallel.submit(tensor, model_id=model_id)
-        parallel_results = parallel.gather()
-        for left, right in zip(serial_results, parallel_results):
-            np.testing.assert_array_equal(left.completed.values,
-                                          right.completed.values)
+            service.submit(tensor, model_id=model_id)
+        for one, many in zip(direct, service.gather()):
+            np.testing.assert_array_equal(one.completed.values,
+                                          many.completed.values)
             # svdimp has no fused impute_many: the serving layer must not
             # pretend otherwise.
-            assert right.from_batch and not right.fused
+            assert many.from_batch and not many.fused

@@ -74,7 +74,19 @@ class TestFitOnceServeMany:
             assert result.from_batch
             assert result.completed.missing_fraction == 0.0
 
-    def test_gather_micro_batches_per_model(self, counting_registry, masked_panel):
+    def test_gather_micro_batches_per_model(self, counting_registry,
+                                            masked_panel, monkeypatch):
+        from repro.api import service as service_module
+
+        batches = []
+        serve_batch = service_module.execute_serving_batch
+
+        def counting(batch):
+            batches.append(len(batch.requests))
+            return serve_batch(batch)
+
+        monkeypatch.setattr(service_module, "execute_serving_batch",
+                            counting)
         _, incomplete, _, _ = masked_panel
         service = api.ImputationService(registry=counting_registry)
         model_a = service.fit(incomplete, method="counting-mean")
@@ -83,9 +95,9 @@ class TestFitOnceServeMany:
             service.submit(api.ImputeRequest(model_id=model_a))
             service.submit(api.ImputeRequest(model_id=model_b))
         results = service.gather()
-        # 6 requests collapse to one engine job per distinct model.
+        # 6 requests collapse to one serving batch per distinct model.
         assert len(results) == 6
-        assert service.last_report.total == 2
+        assert batches == [3, 3]
 
     def test_gather_returns_results_in_submit_order(self, masked_panel):
         _, incomplete, _, _ = masked_panel
@@ -287,17 +299,6 @@ class TestModelStore:
             store_dir=str(tmp_path)).list_models()
         # discarding an unknown id is a no-op
         service.store.discard("never-existed")
-
-    def test_parallel_gather_over_artifacts(self, masked_panel, tmp_path):
-        _, incomplete, _, _ = masked_panel
-        service = api.ImputationService(store_dir=str(tmp_path), workers=2)
-        model_a = service.fit(incomplete, method="mean")
-        model_b = service.fit(incomplete, method="interpolation")
-        service.submit(api.ImputeRequest(model_id=model_a))
-        service.submit(api.ImputeRequest(model_id=model_b))
-        results = service.gather()
-        assert len(results) == 2
-        assert all(r.completed.missing_fraction == 0.0 for r in results)
 
 
 class TestOneLiner:

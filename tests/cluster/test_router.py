@@ -5,6 +5,8 @@ import pytest
 
 from repro.api.requests import ImputeRequest
 from repro.api.service import ImputationService
+from repro.baselines.registry import MethodInfo, get_registry
+from repro.baselines.simple import MeanImputer
 from repro.cluster import ClusterRouter
 from repro.data.dimensions import Dimension
 from repro.data.tensor import TimeSeriesTensor
@@ -21,6 +23,22 @@ def _panel(seed, shape=(4, 40), missing=6):
     return TimeSeriesTensor(values=values,
                             dimensions=[Dimension.categorical("s", shape[0])],
                             mask=mask, name=f"panel-{seed}")
+
+
+class PoisonableImputer(MeanImputer):
+    """Mean imputer that rejects tensors named 'poison'.
+
+    Overrides ``impute_many`` so the shard attempts a fused pass, which the
+    poisoned tensor aborts.
+    """
+
+    def impute(self, tensor=None):
+        if tensor is not None and tensor.name == "poison":
+            raise RuntimeError("poisoned tensor")
+        return super().impute(tensor)
+
+    def impute_many(self, tensors):
+        return [self.impute(tensor) for tensor in tensors]
 
 
 @pytest.fixture
@@ -165,3 +183,35 @@ class TestIntrospection:
             assert stats["completed"] == 2
         finally:
             gateway.close()
+
+    def test_gateway_batch_with_a_poisoned_request_is_served_once(
+            self, tmp_path, monkeypatch):
+        """A bad request fails alone; nothing is resent under new ids."""
+        from repro.gateway import Gateway
+
+        # Registered before the shard forks, so the shard can fit it (a
+        # put_model blob of a class outside repro.* would be refused).
+        monkeypatch.setitem(get_registry()._methods, "poisonable-test",
+                            MethodInfo("poisonable-test", PoisonableImputer))
+        router = ClusterRouter(directory=tmp_path, shards=1)
+        try:
+            model_id = router.fit(_panel(1), method="poisonable-test")
+            poison = _panel(3, missing=4)
+            poison.name = "poison"
+            gateway = Gateway(service=router, max_wait_ms=1.0, start=False)
+            try:
+                futures = [gateway.submit(tensor, model_id=model_id)
+                           for tensor in (_panel(2, missing=4), poison,
+                                          _panel(4, missing=4))]
+                gateway.start()
+                healthy = [futures[0].result(timeout=60.0),
+                           futures[2].result(timeout=60.0)]
+                with pytest.raises(ServiceError, match="poisoned tensor"):
+                    futures[1].result(timeout=60.0)
+            finally:
+                gateway.close()
+            assert all(result.fused for result in healthy)
+            journal = router.shard_stats()["shard-0"]["journal"]
+            assert journal == {"request": 3, "result": 2, "failed": 1}
+        finally:
+            router.close()

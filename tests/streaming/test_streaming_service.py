@@ -332,19 +332,6 @@ class TestReplayHarness:
         assert report.windows > 0 and report.failures == 0
         assert scenario in report.scenario
 
-    def test_parallel_replay_matches_serial_scores(self, small_panel,
-                                                   tmp_path):
-        kwargs = dict(method="mean", scenario="periodic_outage",
-                      window_size=24, refit_every=0, n_streams=2, seed=3)
-        serial = replay(small_panel, workers=1, **kwargs)
-        parallel = replay(small_panel, workers=2,
-                          store_dir=str(tmp_path / "models"), **kwargs)
-        assert serial.windows == parallel.windows
-        assert parallel.failures == 0
-        np.testing.assert_allclose(
-            [row.mae for row in serial.rows],
-            [row.mae for row in parallel.rows])
-
 
 class TestBatchedStep:
     """step(max_windows=K) drains backlogs through one fused sweep."""
