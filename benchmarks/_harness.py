@@ -10,7 +10,9 @@ harness reports and what EXPERIMENTS.md records.
 
 from __future__ import annotations
 
+import json
 import os
+import pathlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -42,6 +44,31 @@ ENV_FAST = "REPRO_BENCH_FAST"
 def is_fast() -> bool:
     """True when ``REPRO_BENCH_FAST`` asks for smoke-test sizes."""
     return os.environ.get(ENV_FAST, "") not in ("", "0")
+
+
+#: record switch: only a run with ``REPRO_BENCH_RECORD=1`` writes the
+#: committed ``benchmarks/results/`` files and (at full size) the repo-root
+#: ``BENCH_<name>.json`` trajectory artifacts; any other run writes its
+#: results to a pytest temp dir and leaves the tree clean
+ENV_RECORD = "REPRO_BENCH_RECORD"
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def is_recording() -> bool:
+    """True when ``REPRO_BENCH_RECORD`` asks to refresh committed results."""
+    return os.environ.get(ENV_RECORD, "") not in ("", "0")
+
+
+def record_trajectory(name: str, payload: Dict) -> None:
+    """Refresh the repo-root ``BENCH_<name>.json`` artifact.
+
+    Only recording runs at full size write it: fast-mode numbers are smoke
+    sizes, not the trajectory.
+    """
+    if is_recording() and not is_fast():
+        (REPO_ROOT / f"BENCH_{name}.json").write_text(
+            json.dumps(payload, indent=2) + "\n")
 
 
 #: dataset size preset used throughout the benchmarks
@@ -188,7 +215,7 @@ def format_table(table: Dict[str, Dict[str, float]], index_name: str = "dataset"
 
 
 def emit(results_dir, experiment_id: str, title: str, text: str) -> None:
-    """Print a benchmark artefact and persist it under benchmarks/results/."""
+    """Print a benchmark artefact and persist it under ``results_dir``."""
     banner = f"\n=== {experiment_id}: {title} ===\n{text}\n"
     print(banner)
     path = results_dir / f"{experiment_id}.txt"

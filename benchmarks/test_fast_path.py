@@ -21,16 +21,15 @@ This benchmark measures that trade end to end on the same model weights:
   :class:`repro.gateway.Gateway`, reading ``fast_path_hit_rate`` from
   ``Gateway.stats()`` to show telemetry tracks the traffic mix.
 
-Results land in ``benchmarks/results/fast_path.{txt,json}``.  In full
-mode the payload is also written to the repo-root ``BENCH_fast_path.json``
-trajectory artifact.  The CI bench-regression job re-runs this file in
+Recording runs (``REPRO_BENCH_RECORD=1``) write the results to
+``benchmarks/results/fast_path.{txt,json}`` and, at full size, to the
+repo-root ``BENCH_fast_path.json`` trajectory artifact.  The CI bench-regression job re-runs this file in
 fast mode and gates ``fast_path.warm_speedup`` against
 ``benchmarks/baselines/fast_path_fast.json`` via
 ``benchmarks/check_regression.py`` (25% tolerance).
 """
 
 import json
-import pathlib
 import time
 
 from repro.api import ImputationService
@@ -40,9 +39,8 @@ from repro.data.missing import MissingScenario, apply_scenario
 from repro.data.tensor import TimeSeriesTensor
 from repro.gateway import Gateway, GatewayConfig
 
-from benchmarks._harness import bench_dataset, emit, is_fast
+from benchmarks._harness import bench_dataset, emit, is_fast, record_trajectory
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 if is_fast():
     DATASET = "airq"
@@ -207,10 +205,7 @@ def test_fast_path_throughput(results_dir):
          "\n".join(lines))
     (results_dir / "fast_path.json").write_text(
         json.dumps(payload, indent=2) + "\n")
-    if not is_fast():
-        # The committed trajectory artifact is only refreshed by full runs.
-        (REPO_ROOT / "BENCH_fast_path.json").write_text(
-            json.dumps(payload, indent=2) + "\n")
+    record_trajectory("fast_path", payload)
 
     # Acceptance bar: warm table-hit serving must beat the fused forward
     # by 4x in full mode (2x in fast mode, where the model is tiny and

@@ -27,9 +27,10 @@ Every gateway pass also asserts delivery integrity (each request exactly
 one result, in submit order per producer) — throughput earned by dropping
 requests would be meaningless.
 
-Results land in ``benchmarks/results/gateway_throughput.{txt,json}``.  In
-full mode the payload is also written to the repo-root
-``BENCH_gateway_throughput.json`` trajectory artifact.  The CI
+Recording runs (``REPRO_BENCH_RECORD=1``) write the results to
+``benchmarks/results/gateway_throughput.{txt,json}`` and, at full size,
+to the repo-root ``BENCH_gateway_throughput.json`` trajectory artifact.
+The CI
 bench-regression job re-runs this file in fast mode and gates
 ``gateway.concurrent_speedup`` against
 ``benchmarks/baselines/gateway_fast.json`` via
@@ -37,7 +38,6 @@ bench-regression job re-runs this file in fast mode and gates
 """
 
 import json
-import pathlib
 import statistics
 import threading
 import time
@@ -48,9 +48,8 @@ from repro.core.config import DeepMVIConfig
 from repro.data.missing import MissingScenario, apply_scenario
 from repro.gateway import Gateway, GatewayConfig
 
-from benchmarks._harness import bench_dataset, emit, is_fast
+from benchmarks._harness import bench_dataset, emit, is_fast, record_trajectory
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 N_PRODUCERS = 8
 
@@ -249,10 +248,7 @@ def test_gateway_throughput(results_dir):
          "\n".join(lines))
     (results_dir / "gateway_throughput.json").write_text(
         json.dumps(payload, indent=2) + "\n")
-    if not is_fast():
-        # The committed trajectory artifact is only refreshed by full runs.
-        (REPO_ROOT / "BENCH_gateway_throughput.json").write_text(
-            json.dumps(payload, indent=2) + "\n")
+    record_trajectory("gateway_throughput", payload)
 
     # Acceptance bar: in the median interleaved round, the gateway must at
     # least double one-at-a-time throughput under concurrent window-shaped

@@ -14,9 +14,10 @@ Two hot paths carry essentially all of DeepMVI's steady-state compute:
   (``DeepMVIImputer.impute_many``).  Requests/sec is measured for
   one-at-a-time ``impute()`` calls and a fused serial ``gather()``.
 
-Results land in ``benchmarks/results/hot_path.{txt,json}``.  In full mode
-(no ``REPRO_BENCH_FAST``) the payload is also written to the repo-root
-``BENCH_hot_path.json`` — the committed trajectory artifact.  The CI
+Recording runs (``REPRO_BENCH_RECORD=1``) write the results to
+``benchmarks/results/hot_path.{txt,json}`` and, at full size (no
+``REPRO_BENCH_FAST``), to the repo-root ``BENCH_hot_path.json`` — the
+committed trajectory artifact.  The CI
 bench-regression job re-runs this file in fast mode and compares the
 dimensionless gate metrics (speedup ratios, which are stable across host
 speeds) against ``benchmarks/baselines/hot_path_fast.json`` via
@@ -24,7 +25,6 @@ speeds) against ``benchmarks/baselines/hot_path_fast.json`` via
 """
 
 import json
-import pathlib
 import time
 
 import numpy as np
@@ -35,9 +35,8 @@ from repro.core.context import DatasetContext
 from repro.core.sampling import MissingShapeSampler, TrainingSampler
 from repro.data.missing import MissingScenario, apply_scenario
 
-from benchmarks._harness import bench_dataset, emit, is_fast
+from benchmarks._harness import bench_dataset, emit, is_fast, record_trajectory
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 if is_fast():
     ASSEMBLY_DATASET = "gas"          # (100, 64): sibling-heavy assembly
@@ -169,10 +168,7 @@ def test_hot_path_throughput(results_dir):
          "\n".join(lines))
     (results_dir / "hot_path.json").write_text(
         json.dumps(payload, indent=2) + "\n")
-    if not is_fast():
-        # The committed trajectory artifact is only refreshed by full runs.
-        (REPO_ROOT / "BENCH_hot_path.json").write_text(
-            json.dumps(payload, indent=2) + "\n")
+    record_trajectory("hot_path", payload)
 
     # The vectorised assembler must beat the loop by a wide margin; the
     # acceptance bar is 3x at batch 64.  Fast mode still requires a win but

@@ -38,12 +38,12 @@ Gated ratios (bigger is better, floor 1.0 in
 
 One fully-sampled end-to-end pass also runs as a sanity check that
 tracing engages (spans actually land on disk) and to report the
-e2e CPU ratio as context.  Results land in
-``benchmarks/results/obs.{txt,json}``.
+e2e CPU ratio as context.  Recording runs (``REPRO_BENCH_RECORD=1``)
+write the results to ``benchmarks/results/obs.{txt,json}`` and, at full
+size, to the repo-root ``BENCH_obs_overhead.json``.
 """
 
 import json
-import pathlib
 import statistics
 import threading
 import time
@@ -56,9 +56,8 @@ from repro.gateway import Gateway, GatewayConfig
 from repro.obs import trace as obs_trace
 from repro.obs.cli import load_spans
 
-from benchmarks._harness import bench_dataset, emit, is_fast
+from benchmarks._harness import bench_dataset, emit, is_fast, record_trajectory
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 N_PRODUCERS = 4
 SAMPLE_RATE = 0.10   # the gated production-style sampling rate
@@ -294,9 +293,7 @@ def test_obs_overhead(results_dir, tmp_path):
          "\n".join(lines))
     (results_dir / "obs.json").write_text(
         json.dumps(payload, indent=2) + "\n")
-    if not is_fast():
-        (REPO_ROOT / "BENCH_obs_overhead.json").write_text(
-            json.dumps(payload, indent=2) + "\n")
+    record_trajectory("obs_overhead", payload)
 
     # Acceptance bars: 10%-sampled tracing costs at most 5% of serving
     # CPU (headroom >= 1), and a disabled hook stays under 1us.

@@ -21,15 +21,15 @@ the loop must keep beating the frozen model), ``online.exactly_once``
 once, gated at face value), plus ungated windows/sec and lifecycle
 counters for trajectory tracking.
 
-Results land in ``benchmarks/results/online.{txt,json}``; full mode
-also refreshes the repo-root ``BENCH_online.json`` trajectory artifact.
+Recording runs (``REPRO_BENCH_RECORD=1``) write the results to
+``benchmarks/results/online.{txt,json}`` and, at full size, to the
+repo-root ``BENCH_online.json`` trajectory artifact.
 The CI bench-regression job re-runs this file in fast mode and gates
 the two metrics against ``benchmarks/baselines/online_fast.json`` via
 ``benchmarks/check_regression.py``.
 """
 
 import json
-import pathlib
 import time
 import warnings
 
@@ -43,9 +43,8 @@ from repro.evaluation.metrics import nrmse
 from repro.online import CanaryConfig, DriftConfig, DriftDetector, OnlineLoop
 from repro.streaming import StreamingService, WindowedStream
 
-from benchmarks._harness import bench_dataset, emit, is_fast
+from benchmarks._harness import bench_dataset, emit, is_fast, record_trajectory
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 SCENARIO = MissingScenario("mcar", {"incomplete_fraction": 0.3,
                                     "block_size": 4})
@@ -185,9 +184,7 @@ def test_online_drift_recovery(results_dir, tmp_path):
          "\n".join(lines))
     (results_dir / "online.json").write_text(
         json.dumps(payload, indent=2) + "\n")
-    if not is_fast():
-        (REPO_ROOT / "BENCH_online.json").write_text(
-            json.dumps(payload, indent=2) + "\n")
+    record_trajectory("online", payload)
 
     assert exactly_once == 1.0, (
         f"duplicate journal transitions: {transitions}")

@@ -8,9 +8,9 @@ deleted with the pool serving path: it measured 0.33-0.40x serial; see
 
 The replayed workload is deliberately compute-heavy per window (SVD
 completion with many iterations on long windows) so the number measures
-imputation throughput.  Results land in
-``benchmarks/results/streaming_throughput.{txt,json}``; the JSON is the
-artifact the CI bench-smoke job uploads.
+imputation throughput.  Recording runs (``REPRO_BENCH_RECORD=1``) write
+the results to ``benchmarks/results/streaming_throughput.{txt,json}``;
+the JSON is the artifact the CI bench-smoke job uploads.
 
 Under ``REPRO_BENCH_FAST=1`` the workload shrinks to smoke-test size.
 """

@@ -13,6 +13,17 @@ masks).  This module owns the bookkeeping that turns a
 * gathering sibling values at the target time, honouring both the dataset's
   availability and the per-sample synthetic missing cuboid used in training.
 
+A context may also **stack** several same-shaped tensors (the requests of
+one serving batch) as consecutive blocks of rows: ``R`` tensors of ``n``
+series give ``R * n`` rows.  Each block is normalised with its own
+``(mean, std)``, and its index and sibling tables are the per-shape
+:class:`ContextStructure` shifted to the block's rows, so windows and
+siblings never cross requests.  Every request's rows hold exactly the
+values its own one-block context would hold, which is what lets one scan,
+one :meth:`DatasetContext.build_batch` per chunk and one denormalisation
+serve a whole group of requests with answers bit-identical to serving each
+alone.
+
 Training batches do not share windows: each sample hides its own synthetic
 block through ``series_avail_override``, so two samples with equal
 (series, window) ids still see different inputs.  They keep one window per
@@ -22,7 +33,7 @@ sample, and the training sampler needs no change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,7 +49,11 @@ class Batch:
     only on a cell's (series, target window) pair, so cells that share one
     share a row of the window arrays, and the forward computes that row's
     attention once; ``cell_window`` maps each cell to its row.  Rows are
-    never shared across requests: :func:`concatenate_batches` keeps every
+    never shared across requests.  In a batch built from a stacked context
+    each request owns its own block of series rows, so the dedupe key
+    (series row, window) already keeps requests apart, and a chunk of the
+    group's cell stream may straddle request blocks.  Batches of different
+    contexts are joined by :func:`concatenate_batches`, which keeps every
     piece's windows apart.  Training batches keep one row per cell
     (``K == B``), because each sample hides its own synthetic block.
     """
@@ -131,6 +146,7 @@ class ContextStructure:
     the facts that decide compatibility.  Caching one of these instead of
     a whole context avoids pinning the template request's value buffers
     (four ``(n_series, padded_time)`` arrays) for the cache's lifetime.
+    The tables describe one tensor (one block of a stacked context).
     """
 
     window: int
@@ -142,15 +158,43 @@ class ContextStructure:
     sibling_rows: List[np.ndarray]
 
 
+def _sibling_row_tables(index_table: np.ndarray,
+                        dimension_sizes: List[int]) -> List[np.ndarray]:
+    """For each dimension, an ``(n_series, K_i - 1)`` table of sibling rows.
+
+    Row ``r``'s siblings along dimension ``i`` are the flat rows of all
+    series that agree with ``r`` on every member index except the ``i``-th.
+    """
+    n_series, n_dims = index_table.shape[0], len(dimension_sizes)
+    tables: List[np.ndarray] = []
+    strides = np.ones(n_dims, dtype=np.int64)
+    for i in range(n_dims - 2, -1, -1):
+        strides[i] = strides[i + 1] * dimension_sizes[i + 1]
+    for dim, size in enumerate(dimension_sizes):
+        if size <= 1:
+            tables.append(np.zeros((n_series, 0), dtype=np.int64))
+            continue
+        rows = np.arange(n_series, dtype=np.int64)
+        own_member = index_table[:, dim]
+        base = rows - own_member * strides[dim]
+        others = np.arange(size, dtype=np.int64)
+        all_rows = base[:, None] + others[None, :] * strides[dim]   # (n_series, K_i)
+        keep = others[None, :] != own_member[:, None]
+        tables.append(all_rows[keep].reshape(n_series, size - 1))
+    return tables
+
+
 class DatasetContext:
-    """Precomputed flat views and index tables for one dataset.
+    """Precomputed flat views and index tables for one dataset or a stack.
 
     Parameters
     ----------
     tensor:
-        The (possibly incomplete) dataset.  Values are normalised globally;
-        missing cells are stored as zero and tracked by the availability
-        matrix.
+        The (possibly incomplete) dataset, or a sequence of same-shaped
+        tensors to stack as consecutive blocks of ``n`` series rows each
+        (the requests of one serving group).  Each block's values are
+        normalised with that block's own ``(mean, std)``; missing cells
+        are stored as zero and tracked by the availability matrix.
     window:
         DeepMVI window size ``w``; the time axis is zero-padded to a
         multiple of it.
@@ -161,48 +205,68 @@ class DatasetContext:
         Treat the member combination as a single flat dimension
         (the DeepMVI1D variant).
     structure_from:
-        Optional :class:`ContextStructure` (or already-built context) to
-        share structural tables with.  The index table and sibling-row
+        Optional :class:`ContextStructure` to share structural tables
+        with.  The index table and sibling-row
         tables depend only on the tensor's *shape* (dimension sizes), not
         its values, yet they dominate context-construction cost — the
-        serving hot path builds one context per request over same-shaped
-        window tensors, so reusing a template's tables makes request
-        contexts cheap.  An incompatible template (different
-        shape/window/config) is silently ignored and the tables are
-        rebuilt, so passing a stale template is always safe.
+        serving hot path builds one context per group of same-shaped
+        requests, so reusing a template's tables makes those contexts
+        cheap.  An incompatible template (different shape/window/config)
+        is silently ignored and the tables are rebuilt, so passing a stale
+        template is always safe.  A stack tiles the one-block tables once
+        per block, with sibling rows shifted into the block's own rows.
     normalisation:
-        Optional ``(mean, std)`` override.  By default the context
-        estimates normalisation from the tensor's own observed cells; a
-        serving caller passes the *fitted* statistics instead so request
-        tensors are normalised exactly like the training data — which is
-        what lets the fast-path tables compare request windows to fitted
-        windows bit-for-bit (:meth:`FastPathTables.match_windows`).
+        Optional ``(mean, std)`` override, applied to every block.  By
+        default each block estimates normalisation from its own observed
+        cells; a serving caller passes the *fitted* statistics instead so
+        request tensors are normalised exactly like the training data —
+        which is what lets the fast-path tables compare request windows to
+        fitted windows bit-for-bit (:meth:`FastPathTables.match_windows`).
     """
 
-    def __init__(self, tensor: TimeSeriesTensor, window: int,
+    def __init__(self, tensor: Union[TimeSeriesTensor,
+                                     Sequence[TimeSeriesTensor]],
+                 window: int,
                  max_context_windows: int = 64,
                  flatten_dimensions: bool = False,
                  structure_from: Optional[ContextStructure] = None,
                  normalisation: Optional[Tuple[float, float]] = None):
+        tensors = [tensor] if isinstance(tensor, TimeSeriesTensor) \
+            else list(tensor)
+        first = tensors[0]
         self.window = window
         self.max_context_windows = max_context_windows
         self.flatten_dimensions = flatten_dimensions
+        #: number of stacked tensors, and the series rows of each
+        self.n_blocks = len(tensors)
+        self.block_series = first.n_series
+        self.n_series = self.n_blocks * self.block_series
+        self.n_time = first.n_time
 
         # Value plumbing, open-coded for the serving hot path but
         # bit-identical to the classic tensor.normalised().to_matrix()
-        # pipeline (same elementwise operations in the same order): one
-        # context is built per serving request, and the intermediate
-        # normalised TimeSeriesTensor plus np.pad bookkeeping used to
-        # dominate its cost.
+        # pipeline per block (same elementwise operations in the same
+        # order; each block's statistics broadcast over its own rows).
+        # The statistics stay one observed_mean_std call per tensor: its
+        # summation order sets their bits.
         if normalisation is not None:
-            self.mean, self.std = float(normalisation[0]), \
-                float(normalisation[1])
+            stats = [(float(normalisation[0]), float(normalisation[1]))] \
+                * self.n_blocks
         else:
-            self.mean, self.std = tensor.observed_mean_std()
-        self.n_series, self.n_time = tensor.n_series, tensor.n_time
-        matrix = ((tensor.values - self.mean) / self.std).reshape(
-            self.n_series, self.n_time)
-        mask = tensor.mask.reshape(self.n_series, self.n_time)
+            stats = [t.observed_mean_std() for t in tensors]
+        #: (n_blocks,) normalisation mean and std of each block
+        self.block_mean = np.array([mean for mean, _ in stats])
+        self.block_std = np.array([std for _, std in stats])
+        if self.n_blocks == 1:
+            values, mask = first.values, first.mask
+        else:
+            values = np.stack([t.values for t in tensors])
+            mask = np.stack([t.mask for t in tensors])
+        blocks = (self.n_blocks, self.block_series * self.n_time)
+        matrix = ((values.reshape(blocks) - self.block_mean[:, None])
+                  / self.block_std[:, None]).reshape(self.n_series,
+                                                     self.n_time)
+        mask = mask.reshape(self.n_series, self.n_time)
         matrix = np.where(mask == 1, matrix, 0.0)
         matrix = np.nan_to_num(matrix, nan=0.0)
         self.matrix = matrix
@@ -218,73 +282,70 @@ class DatasetContext:
         self.padded_avail[:, :self.n_time] = self.avail
         self.n_windows = self.padded_time // window
 
-        # Member-index table and per-dimension sibling rows — shared with
-        # the template when it matches, rebuilt otherwise.
-        if flatten_dimensions or tensor.n_dims == 0:
-            sizes = [self.n_series]
+        # Member-index table and per-dimension sibling rows of one block —
+        # shared with the template when it matches, rebuilt otherwise.
+        if flatten_dimensions or first.n_dims == 0:
+            sizes = [self.block_series]
         else:
-            sizes = [d.size for d in tensor.dimensions]
-        if structure_from is not None \
-                and self._shares_structure(structure_from, sizes):
-            self.dimension_sizes = structure_from.dimension_sizes
-            self.index_table = structure_from.index_table
-            self.n_dims = structure_from.n_dims
-            self._sibling_rows = structure_from.sibling_rows
-            return
-        if flatten_dimensions or tensor.n_dims == 0:
-            self.dimension_sizes = sizes
-            self.index_table = np.arange(self.n_series, dtype=np.int64)[:, None]
+            sizes = [d.size for d in first.dimensions]
+        structure = structure_from
+        if structure is None \
+                or not self._shares_structure(structure, sizes):
+            if flatten_dimensions or first.n_dims == 0:
+                index_table = np.arange(self.block_series,
+                                        dtype=np.int64)[:, None]
+            else:
+                index_table = first.series_index_table()
+            structure = ContextStructure(
+                window=window, flatten_dimensions=flatten_dimensions,
+                n_series=self.block_series, dimension_sizes=sizes,
+                n_dims=len(sizes), index_table=index_table,
+                sibling_rows=_sibling_row_tables(index_table, sizes))
+        self._structure = structure
+        self.dimension_sizes = structure.dimension_sizes
+        self.n_dims = structure.n_dims
+        if self.n_blocks == 1:
+            self.index_table = structure.index_table
+            self._sibling_rows = structure.sibling_rows
         else:
-            self.dimension_sizes = sizes
-            self.index_table = tensor.series_index_table()
-        self.n_dims = len(self.dimension_sizes)
-        self._sibling_rows = self._build_sibling_rows()
+            # Tile the block tables; sibling rows point into their own block.
+            offsets = (np.arange(self.n_blocks, dtype=np.int64)
+                       * self.block_series)[:, None, None]
+            self.index_table = np.tile(structure.index_table,
+                                       (self.n_blocks, 1))
+            self._sibling_rows = [
+                (table[None] + offsets).reshape(self.n_series,
+                                                table.shape[1])
+                for table in structure.sibling_rows]
 
     def _shares_structure(self, other: ContextStructure,
                           sizes: List[int]) -> bool:
         """Whether ``other``'s structural tables apply to this context."""
         return (other.window == self.window
                 and other.flatten_dimensions == self.flatten_dimensions
-                and other.n_series == self.n_series
+                and other.n_series == self.block_series
                 and other.dimension_sizes == sizes)
 
     def structure(self) -> ContextStructure:
-        """This context's shareable structural tables (no value buffers)."""
-        return ContextStructure(
-            window=self.window,
-            flatten_dimensions=self.flatten_dimensions,
-            n_series=self.n_series,
-            dimension_sizes=self.dimension_sizes,
-            n_dims=self.n_dims,
-            index_table=self.index_table,
-            sibling_rows=self._sibling_rows,
-        )
+        """The shareable structural tables of one block (no value buffers)."""
+        return self._structure
 
-    # ------------------------------------------------------------------ #
-    def _build_sibling_rows(self) -> List[np.ndarray]:
-        """For each dimension, an ``(n_series, K_i - 1)`` table of sibling rows.
+    @property
+    def mean(self) -> float:
+        """Normalisation mean of a one-block context."""
+        (mean,) = self.block_mean
+        return float(mean)
 
-        Row ``r``'s siblings along dimension ``i`` are the flat rows of all
-        series that agree with ``r`` on every member index except the
-        ``i``-th.
-        """
-        tables: List[np.ndarray] = []
-        strides = np.ones(self.n_dims, dtype=np.int64)
-        for i in range(self.n_dims - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.dimension_sizes[i + 1]
-        for dim, size in enumerate(self.dimension_sizes):
-            if size <= 1:
-                tables.append(np.zeros((self.n_series, 0), dtype=np.int64))
-                continue
-            rows = np.arange(self.n_series, dtype=np.int64)
-            own_member = self.index_table[:, dim]
-            base = rows - own_member * strides[dim]
-            others = np.arange(size, dtype=np.int64)
-            all_rows = base[:, None] + others[None, :] * strides[dim]   # (n_series, K_i)
-            keep = others[None, :] != own_member[:, None]
-            siblings = all_rows[keep].reshape(self.n_series, size - 1)
-            tables.append(siblings)
-        return tables
+    @property
+    def std(self) -> float:
+        """Normalisation standard deviation of a one-block context."""
+        (std,) = self.block_std
+        return float(std)
+
+    def block_rows(self, block: int) -> slice:
+        """The series rows of stacked block ``block``."""
+        return slice(block * self.block_series,
+                     (block + 1) * self.block_series)
 
     def sibling_rows(self, dim: int) -> np.ndarray:
         """Sibling flat-row table for dimension ``dim``."""
@@ -403,9 +464,18 @@ class DatasetContext:
 
     # ------------------------------------------------------------------ #
     def denormalise(self, values: np.ndarray) -> np.ndarray:
-        """Map model outputs back to the original value scale."""
-        return values * self.std + self.mean
+        """Map model outputs back to the original value scale.
+
+        A stacked context takes an ``(n_series, ...)`` array whose rows
+        follow the context's, and maps each block with its own statistics;
+        a one-block context takes any shape.
+        """
+        if self.n_blocks == 1:
+            return values * self.std + self.mean
+        blocks = values.reshape(self.n_blocks, -1)
+        return (blocks * self.block_std[:, None]
+                + self.block_mean[:, None]).reshape(values.shape)
 
     def normalise_value(self, values: np.ndarray) -> np.ndarray:
-        """Map original-scale values to the model's normalised scale."""
+        """Map original-scale values to a one-block context's scale."""
         return (values - self.mean) / self.std

@@ -168,16 +168,31 @@ class FastPathTables:
             self.age_seconds(now) > budget_seconds
 
     # ------------------------------------------------------------------ #
-    def match_windows(self, context: DatasetContext) -> Optional[np.ndarray]:
+    def covers_shape(self, n_series: int, n_time: int) -> bool:
+        """Whether a tensor of this many series and steps can match at all.
+
+        The structural test of :meth:`match_windows`, answered from the
+        tensor's shape before any context is built: the gateway's fast
+        lane rejects a fresh request with it at the cost of a few integer
+        operations.  A shape that passes must still go through the full
+        :meth:`match_windows`.
+        """
+        remainder = n_time % self.window
+        padded = n_time + (0 if remainder == 0 else self.window - remainder)
+        return n_series == self.n_series and padded == self.padded_time
+
+    def match_windows(self, context: DatasetContext,
+                      block: int = 0) -> Optional[np.ndarray]:
         """Per-(series, window) agreement of a request with the fitted data.
 
-        Returns an ``(n_series, n_windows)`` boolean matrix, or ``None``
-        when the request context is structurally incompatible (different
-        shape, window size or normalisation) — a total miss.  Comparison
-        happens on the *normalised* padded matrices: the network only ever
-        sees normalised values, so agreement there is exactly the
-        condition under which the precomputed signals apply (the context's
-        mean/std are used for denormalisation either way).
+        Returns an ``(n_series, n_windows)`` boolean matrix for the
+        request in stacked block ``block`` of ``context``, or ``None``
+        when the request is structurally incompatible (different shape,
+        window size or normalisation) — a total miss.  Comparison happens
+        on the *normalised* padded matrices: the network only ever sees
+        normalised values, so agreement there is exactly the condition
+        under which the precomputed signals apply (the context's mean/std
+        are used for denormalisation either way).
 
         The mean/std equality below is not as restrictive as it looks:
         same-shaped serving contexts are built with the *fitted*
@@ -192,19 +207,19 @@ class FastPathTables:
         if self._ref_matrix is None or self._ref_avail is None:
             return None
         if (context.window != self.window
-                or context.n_series != self.n_series
-                or context.n_windows != self.n_windows
-                or context.padded_time != self.padded_time
-                or float(context.mean) != self.mean
-                or float(context.std) != self.std):
+                or not self.covers_shape(context.block_series,
+                                         context.n_time)
+                or float(context.block_mean[block]) != self.mean
+                or float(context.block_std[block]) != self.std):
             return None
         if context.padded_matrix is self._ref_matrix:
             # The fitted context itself (data=None requests): trivial hit.
             return np.ones((self.n_series, self.n_windows), dtype=bool)
+        rows = context.block_rows(block)
         shape = (self.n_series, self.n_windows, self.window)
-        values_equal = (context.padded_matrix.reshape(shape)
+        values_equal = (context.padded_matrix[rows].reshape(shape)
                         == self._ref_matrix.reshape(shape)).all(axis=2)
-        avail_equal = (context.padded_avail.reshape(shape)
+        avail_equal = (context.padded_avail[rows].reshape(shape)
                        == self._ref_avail.reshape(shape)).all(axis=2)
         return values_equal & avail_equal
 
@@ -218,7 +233,8 @@ class FastPathTables:
             The request's :class:`DatasetContext` (already known
             compatible — ``match`` came from :meth:`match_windows`).
         cells:
-            ``(B, 2)`` array of (series row, time) missing cells.
+            ``(B, 2)`` array of (series row, time) missing cells, with rows
+            counted within the request's own block.
         match:
             The window-agreement matrix from :meth:`match_windows`.
 

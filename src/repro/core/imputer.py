@@ -123,139 +123,72 @@ class DeepMVIImputer(BaseImputer):
         return self.impute_many([tensor])[0]
 
     def impute_many(self, tensors) -> list:
-        """Fill the missing cells of many tensors with fused forward calls.
+        """Fill the missing cells of many tensors with stacked, fused serving.
 
-        The serving hot path: instead of running one forward pass per tensor
-        (per request), the missing-cell batches of every tensor whose batch
-        structure matches (same context width and sibling counts — always
-        true for same-shaped tensors) are concatenated and pushed through
-        the network together, so a micro-batched ``gather()`` sweep costs a
-        handful of forward calls rather than one per request.  Each
-        request's cells keep their own context windows inside the fused
-        batch, and the forward works row by row, so every tensor's answer
+        The serving hot path.  Same-shaped request tensors form a group,
+        and each group is served as **one stacked context**
+        (:class:`~repro.core.context.DatasetContext` over the whole group,
+        one block of rows per request, each block normalised with its own
+        statistics).  Per group the missing-cell scan runs once, the
+        fast-path tables answer what they cover block by block, and the
+        leftover cells of every group with an equal batch signature (same
+        context width, window and sibling counts) form one cell stream cut
+        into ``impute_batch_size`` chunks: one ``build_batch`` per group
+        piece and one forward call per chunk, whose predictions are
+        scattered back once per piece.  Denormalisation runs once per
+        group; only the final ``fill`` is per request.
+
+        Windows and siblings never cross requests (each block has its own
+        rows), and the forward works row by row, so every tensor's answer
         is bit-identical to imputing it alone.  Results come back in input
         order; each entry of ``tensors`` may be ``None`` for the fitted
-        tensor.
+        tensor, which is served from the fitted context.
         """
         if self.model is None or self.context is None:
             raise NotFittedError("call fit() before impute()")
         self.model.eval()
-
-        # One plan per tensor: its context, missing cells, and the matrix
-        # the predictions scatter into.
-        plans = []
-        for tensor in tensors:
-            if tensor is None:
-                tensor = self._fitted_tensor
-            if tensor is self._fitted_tensor:
-                context = self.context
-            else:
-                # Imputing a different tensor re-uses the trained parameters
-                # with a dataset context built around the new data.  The
-                # context is local: the fitted state must survive for later
-                # no-arg calls.  Structural tables (index/sibling rows) are
-                # shared via a per-shape template so window-shaped serving
-                # traffic pays only the per-request value plumbing, and
-                # same-shaped traffic normalises with the fitted statistics
-                # so unchanged windows stay fast-path-compatible.
-                with stage("serve.context_build"):
-                    context = self._build_context(
-                        tensor,
-                        structure_from=self._structure_template(tensor),
-                        normalisation=self._serving_normalisation(tensor))
-                self._remember_structure(tensor, context)
-            missing_cells = np.argwhere(context.avail == 0)
-            # Ignore cells that fall outside the original (unpadded) range.
-            missing_cells = missing_cells[missing_cells[:, 1] < context.n_time]
-            plans.append((tensor, context, missing_cells,
-                          context.matrix.copy()))
+        tensors, groups = self._serving_groups(tensors, remember=True)
 
         # Serve what the precomputed tables cover (repeat traffic over the
         # fitted data) with gathers instead of forward passes; only the
         # leftover cells flow into the fused-forward sweep below.
         tables = self._fast_path_ready()
-        info: list = []
-        for plan_index, (tensor, context, missing_cells, matrix) in \
-                enumerate(plans):
-            total = int(missing_cells.shape[0])
-            served = 0
-            if tables is not None:
-                match = tables.match_windows(context)
-                if match is not None and total:
-                    hits, predictions = tables.lookup(
-                        context, missing_cells, match)
-                    served = int(hits.sum())
-                    if served:
-                        hit_cells = missing_cells[hits]
-                        matrix[hit_cells[:, 0], hit_cells[:, 1]] = \
-                            predictions[hits]
-                        plans[plan_index] = (tensor, context,
-                                             missing_cells[~hits], matrix)
-            info.append({
-                "cells": total,
-                "fast_path_hits": served,
-                "fast_path": tables is not None and served == total,
-            })
+        if tables is not None:
+            for group in groups:
+                self._serve_from_tables(tables, group)
+        info: list = [None] * len(tensors)
+        for group in groups:
+            for position, block in group.members:
+                cells = int(group.block_cells[block])
+                served = int(group.block_hits[block])
+                info[position] = {
+                    "cells": cells,
+                    "fast_path_hits": served,
+                    "fast_path": tables is not None and served == cells,
+                }
         self.last_impute_info = info
 
-        # Fuse across tensors whose batches can be concatenated.
-        groups: dict = {}
-        for index, (tensor, context, missing_cells, _) in enumerate(plans):
-            signature = (
-                min(context.max_context_windows, context.n_windows),
-                context.window,
-                tuple(context.sibling_rows(dim).shape[1]
-                      for dim in range(context.n_dims)),
-            )
-            groups.setdefault(signature, []).append(index)
-
-        batch_size = self.config.impute_batch_size
-        for indices in groups.values():
-            # Flat (plan, row, t) work list over the whole group, chunked to
-            # impute_batch_size; one forward call per chunk.
-            stream = [(index, plans[index][2]) for index in indices
-                      if plans[index][2].shape[0]]
-            # Walk the concatenated cell stream in chunk-sized strides,
-            # slicing per plan so each chunk knows where to scatter back.
-            chunk: list = []
-            chunk_fill = 0
-            flushes = []
-            for index, cells in stream:
-                start = 0
-                total = cells.shape[0]
-                while start < total:
-                    take = min(batch_size - chunk_fill, total - start)
-                    chunk.append((index, start, start + take))
-                    chunk_fill += take
-                    start += take
-                    if chunk_fill == batch_size:
-                        flushes.append(chunk)
-                        chunk, chunk_fill = [], 0
-            if chunk:
-                flushes.append(chunk)
-            for chunk in flushes:
-                pieces = []
-                for index, start, stop in chunk:
-                    _, context, cells, _ = plans[index]
-                    pieces.append(context.build_batch(
-                        series_rows=cells[start:stop, 0],
-                        target_times=cells[start:stop, 1]))
+        # Fuse across groups whose batches can be concatenated.
+        streams: dict = {}
+        for group in groups:
+            if group.pending.shape[0]:
+                streams.setdefault(group.signature(), []).append(group)
+        for stream in streams.values():
+            for chunk in _chunk_stream(stream, self.config.impute_batch_size):
+                pieces = [group.context.build_batch(
+                    series_rows=group.pending[start:stop, 0],
+                    target_times=group.pending[start:stop, 1])
+                    for group, start, stop in chunk]
                 with stage("serve.forward", chunks=len(chunk)):
                     predictions = self.model.predict(
                         concatenate_batches(pieces))
                 offset = 0
-                for index, start, stop in chunk:
-                    _, _, cells, matrix = plans[index]
-                    taken = stop - start
-                    matrix[cells[start:stop, 0], cells[start:stop, 1]] = \
-                        predictions[offset:offset + taken]
-                    offset += taken
-
-        completed = []
-        for tensor, context, _, matrix in plans:
-            filled = context.denormalise(matrix)
-            completed.append(tensor.fill(filled.reshape(tensor.values.shape)))
-        return completed
+                for group, start, stop in chunk:
+                    cells = group.pending[start:stop]
+                    group.matrix[cells[:, 0], cells[:, 1]] = \
+                        predictions[offset:offset + stop - start]
+                    offset += stop - start
+        return self._fill(tensors, groups)
 
     # ------------------------------------------------------------------ #
     def fit_impute(self, tensor: TimeSeriesTensor) -> TimeSeriesTensor:
@@ -328,9 +261,12 @@ class DeepMVIImputer(BaseImputer):
         """All-or-nothing table-only serving; None unless *every* cell hits.
 
         The gateway's no-lock fast lane: reads only immutable state (the
-        table object, the frozen fitted context) and writes none of the
-        caches, so concurrent calls need no model lock.  Never builds
-        tables lazily — a miss must stay cheap.
+        table object, the frozen fitted context and structure templates)
+        and writes none of the caches, so concurrent calls need no model
+        lock.  Never builds tables lazily, and rejects a request whose
+        shape the tables cannot cover before building any context — a miss
+        must stay cheap.  Otherwise it runs the same grouped table stage
+        as :meth:`impute_many`.
         """
         if self.model is None or self.context is None:
             return None
@@ -338,29 +274,16 @@ class DeepMVIImputer(BaseImputer):
         if self.config.fast_path == "off" or tables is None \
                 or tables.stale(self.config.fast_path_staleness_seconds):
             return None
-        completed = []
         for tensor in tensors:
-            if tensor is None or tensor is self._fitted_tensor:
-                tensor = self._fitted_tensor
-                context = self.context
-            else:
-                context = self._build_context(
-                    tensor, structure_from=self._structure_template(tensor),
-                    normalisation=self._serving_normalisation(tensor))
-            match = tables.match_windows(context)
-            if match is None:
+            if tensor is not None and tensor is not self._fitted_tensor \
+                    and not tables.covers_shape(tensor.n_series,
+                                                tensor.n_time):
                 return None
-            missing_cells = np.argwhere(context.avail == 0)
-            missing_cells = missing_cells[missing_cells[:, 1] < context.n_time]
-            hits, predictions = tables.lookup(context, missing_cells, match)
-            if not hits.all():
+        tensors, groups = self._serving_groups(tensors, remember=False)
+        for group in groups:
+            if not self._serve_from_tables(tables, group).all():
                 return None
-            matrix = context.matrix.copy()
-            if missing_cells.shape[0]:
-                matrix[missing_cells[:, 0], missing_cells[:, 1]] = predictions
-            filled = context.denormalise(matrix)
-            completed.append(tensor.fill(filled.reshape(tensor.values.shape)))
-        return completed
+        return self._fill(tensors, groups)
 
     def fast_path_info(self) -> Dict[str, object]:
         """JSON-able fast-path telemetry (mode, build cost, staleness)."""
@@ -400,7 +323,7 @@ class DeepMVIImputer(BaseImputer):
     # ------------------------------------------------------------------ #
     # serialisation (engine artifacts / process boundaries)
     # ------------------------------------------------------------------ #
-    def _build_context(self, tensor: TimeSeriesTensor,
+    def _build_context(self, tensor,
                        structure_from: Optional[ContextStructure] = None,
                        normalisation: Optional[tuple] = None,
                        ) -> DatasetContext:
@@ -412,6 +335,87 @@ class DeepMVIImputer(BaseImputer):
             structure_from=structure_from,
             normalisation=normalisation,
         )
+
+    def _serving_groups(self, tensors, remember: bool):
+        """Stack the requests of one call into one context per shape.
+
+        Returns the tensors (``None`` resolved to the fitted tensor) and
+        one :class:`_ServingGroup` per distinct shape.  Every entry for the
+        fitted tensor is served from the fitted context itself; the other
+        contexts are local, so the fitted state survives for later no-arg
+        calls.  A stack shares the per-shape structure template, and a
+        stack shaped like the fitted tensor normalises with the fitted
+        statistics so its unchanged windows stay fast-path-compatible.
+        ``remember=False`` leaves the structure cache untouched (the
+        no-lock fast lane).
+        """
+        tensors = [self._fitted_tensor if tensor is None else tensor
+                   for tensor in tensors]
+        by_shape: dict = {}
+        for position, tensor in enumerate(tensors):
+            key = None if tensor is self._fitted_tensor \
+                else tensor.values.shape
+            by_shape.setdefault(key, []).append(position)
+        groups = []
+        for key, positions in by_shape.items():
+            if key is None:
+                groups.append(_ServingGroup(self.context,
+                                            [(p, 0) for p in positions]))
+                continue
+            stack = [tensors[p] for p in positions]
+            with stage("serve.context_build", requests=len(stack)):
+                context = self._build_context(
+                    stack, structure_from=self._structure_template(stack[0]),
+                    normalisation=self._serving_normalisation(stack[0]))
+            if remember:
+                self._remember_structure(stack[0], context)
+            groups.append(_ServingGroup(context, [
+                (position, block) for block, position in enumerate(positions)]))
+        return tensors, groups
+
+    @staticmethod
+    def _serve_from_tables(tables: FastPathTables,
+                           group: "_ServingGroup") -> np.ndarray:
+        """Answer a group's table hits, block by block; returns the hit mask.
+
+        Hits are scattered into the group's matrix and dropped from its
+        pending cells.  A group whose shape the tables cannot cover is a
+        total miss without a comparison.
+        """
+        context, cells = group.context, group.pending
+        hits = np.zeros(cells.shape[0], dtype=bool)
+        if not tables.covers_shape(context.block_series, context.n_time):
+            return hits
+        bounds = np.concatenate([[0], np.cumsum(group.block_cells)])
+        for block in range(context.n_blocks):
+            match = tables.match_windows(context, block)
+            lo, hi = bounds[block], bounds[block + 1]
+            if match is None or lo == hi:
+                continue
+            local = cells[lo:hi] - [block * context.block_series, 0]
+            block_hits, predictions = tables.lookup(context, local, match)
+            if block_hits.any():
+                served = cells[lo:hi][block_hits]
+                group.matrix[served[:, 0], served[:, 1]] = \
+                    predictions[block_hits]
+            hits[lo:hi] = block_hits
+            group.block_hits[block] = int(block_hits.sum())
+        group.pending = cells[~hits]
+        return hits
+
+    @staticmethod
+    def _fill(tensors, groups) -> list:
+        """Denormalise each group once; fill every request from its block."""
+        completed = [None] * len(tensors)
+        for group in groups:
+            context = group.context
+            filled = context.denormalise(group.matrix).reshape(
+                context.n_blocks, context.block_series, context.n_time)
+            for position, block in group.members:
+                tensor = tensors[position]
+                completed[position] = tensor.fill(
+                    filled[block].reshape(tensor.values.shape))
+        return completed
 
     def _serving_normalisation(self, tensor: TimeSeriesTensor,
                                ) -> Optional[tuple]:
@@ -436,12 +440,13 @@ class DeepMVIImputer(BaseImputer):
 
     # -- serving structure cache ---------------------------------------- #
     # Contexts over same-shaped tensors share their structural tables
-    # (index table, sibling rows); the serving hot path builds one context
-    # per request, so value-free ContextStructure templates are remembered
-    # per shape.  The cache is transient (never serialised — get_state
-    # doesn't know about it) and lazily created so instances restored via
-    # set_state/clone work too; fit() clears it because a refit may change
-    # config.window, invalidating every template.
+    # (index table, sibling rows); the serving hot path builds one stacked
+    # context per shape and call, so value-free ContextStructure templates
+    # of one block are remembered per shape.  The cache is transient (never
+    # serialised — get_state doesn't know about it) and lazily created so
+    # instances restored via set_state/clone work too; fit() clears it
+    # because a refit may change config.window, invalidating every
+    # template.
     _STRUCTURE_CACHE_LIMIT = 8
 
     def _structure_cache(self) -> dict:
@@ -547,3 +552,52 @@ class DeepMVIImputer(BaseImputer):
             )
         return self
 
+
+class _ServingGroup:
+    """One stacked context of same-shaped requests and its serving state."""
+
+    def __init__(self, context: DatasetContext, members):
+        self.context = context
+        #: (position in the call, block of the context) per request
+        self.members = members
+        # One scan over the stacked rows: cells come block by block, each
+        # block's in the order its own context would list them.
+        cells = np.argwhere(context.avail == 0)
+        # Ignore cells that fall outside the original (unpadded) range.
+        #: (M, 2) missing (row, time) cells not answered yet
+        self.pending = cells[cells[:, 1] < context.n_time]
+        #: (n_blocks,) missing cells and table hits per block
+        self.block_cells = np.bincount(
+            self.pending[:, 0] // context.block_series,
+            minlength=context.n_blocks)
+        self.block_hits = np.zeros(context.n_blocks, dtype=np.int64)
+        #: normalised values the predictions are scattered into
+        self.matrix = context.matrix.copy()
+
+    def signature(self) -> tuple:
+        """Batches of groups with equal signatures can be concatenated."""
+        context = self.context
+        return (min(context.max_context_windows, context.n_windows),
+                context.window,
+                tuple(context.sibling_rows(dim).shape[1]
+                      for dim in range(context.n_dims)))
+
+
+def _chunk_stream(groups, size: int):
+    """Cut the groups' concatenated pending cells into ``size``-cell chunks.
+
+    Yields each chunk as a list of ``(group, start, stop)`` pieces.
+    """
+    chunk, filled = [], 0
+    for group in groups:
+        start, total = 0, group.pending.shape[0]
+        while start < total:
+            take = min(size - filled, total - start)
+            chunk.append((group, start, start + take))
+            filled += take
+            start += take
+            if filled == size:
+                yield chunk
+                chunk, filled = [], 0
+    if chunk:
+        yield chunk

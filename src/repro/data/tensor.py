@@ -59,7 +59,7 @@ class TimeSeriesTensor:
             if self.mask.shape != self.values.shape:
                 raise ShapeError(
                     f"mask shape {self.mask.shape} != values shape {self.values.shape}")
-            if not np.isin(np.unique(self.mask), [0.0, 1.0]).all():
+            if not ((self.mask == 0) | (self.mask == 1)).all():
                 raise ShapeError("mask must contain only 0/1 values")
 
     # ------------------------------------------------------------------ #

@@ -31,14 +31,15 @@ which is what makes cross-process span trees orderable.
 
 from __future__ import annotations
 
-import contextlib
 import json
+import json.encoder
+import math
 import os
 import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 __all__ = [
     "TraceContext",
@@ -228,7 +229,7 @@ def start_trace(rate: Optional[float] = None) -> Optional[TraceContext]:
 # ---------------------------------------------------------------------- #
 # span records
 # ---------------------------------------------------------------------- #
-# One cached O_APPEND descriptor per (pid, path): re-opening the span file
+# One cached O_APPEND descriptor per (pid, trace dir): re-opening the span file
 # for every record costs far more than the write itself on hot serving
 # paths, so the first write opens and later ones reuse.  Keying on the pid
 # keeps a fork-inherited cache entry from being reused by the child (shard
@@ -258,7 +259,7 @@ def _close_span_fd() -> None:
 def _append_span_lines(lines: str) -> None:
     global _span_fd, _span_fd_key
     encoded = lines.encode("utf-8")
-    key = (os.getpid(), trace_path())
+    key = (os.getpid(), _trace_dir)
     with _span_fd_lock:
         if _span_fd_key != key:
             if _span_fd is not None:
@@ -269,13 +270,15 @@ def _append_span_lines(lines: str) -> None:
             # A pointed-at-but-not-yet-created directory (fresh
             # REPRO_TRACE_DIR, shard-local dirs) is valid configuration.
             os.makedirs(_trace_dir or ".", exist_ok=True)
-            _span_fd = os.open(key[1],
+            _span_fd = os.open(trace_path(),
                                os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
             _span_fd_key = key
         fd = _span_fd
-    view = memoryview(encoded)
-    while view:
-        view = view[os.write(fd, view):]
+    written = os.write(fd, encoded)
+    if written < len(encoded):
+        view = memoryview(encoded)[written:]
+        while view:
+            view = view[os.write(fd, view):]
 
 
 def span_record(name: str, ctx: TraceContext, start: float, end: float,
@@ -295,6 +298,54 @@ def span_record(name: str, ctx: TraceContext, start: float, end: float,
     return record
 
 
+# Span lines are the one hot encode of a traced request, so they skip the
+# general-purpose path: ``json.dumps`` builds a fresh encoder per call, and
+# float ``repr`` looks for the shortest round-trip digits.  The fixed
+# fields of a :func:`span_record` are formatted directly, with times at the
+# clock's nanosecond resolution (``%.9f``); ``attrs`` go through one cached
+# C encoder, which writes what ``json.dumps`` writes.  A record of any
+# other shape falls back to ``json.dumps``.
+_c_make_encoder = getattr(json.encoder, "c_make_encoder", None)
+if _c_make_encoder is not None:
+    _c_encoder = _c_make_encoder(
+        None, json.JSONEncoder().default,
+        json.encoder.encode_basestring_ascii, None, ": ", ", ",
+        False, False, True)
+
+    def _json_text(value: object) -> str:
+        return "".join(_c_encoder(value, 0))
+else:  # pragma: no cover - interpreters without the _json accelerator
+    def _json_text(value: object) -> str:
+        return json.dumps(value)
+
+_json_str = json.encoder.encode_basestring_ascii
+_SPAN_LINE = ('{"name": %s, "trace_id": %s, "span_id": %s, "parent_id": %s, '
+              '"start": %.9f, "duration": %.9f, "pid": %d')
+
+
+def _span_line(record: Dict[str, object]) -> str:
+    """One span record as a JSON line."""
+    parent, start, duration = \
+        record.get("parent_id"), record.get("start"), record.get("duration")
+    attrs = record.get("attrs")
+    if len(record) == 7 + (attrs is not None) \
+            and type(start) is float and type(duration) is float \
+            and math.isfinite(start) and math.isfinite(duration):
+        try:
+            line = _SPAN_LINE % (
+                _json_str(record["name"]), _json_str(record["trace_id"]),
+                _json_str(record["span_id"]),
+                "null" if parent is None else _json_str(parent),
+                start, duration, record["pid"])
+        except (KeyError, TypeError):
+            pass
+        else:
+            if attrs is None:
+                return line + "}\n"
+            return line + ', "attrs": ' + _json_text(attrs) + "}\n"
+    return json.dumps(record) + "\n"
+
+
 def write_records(records) -> None:
     """Append prepared span records with a single ``O_APPEND`` write.
 
@@ -306,7 +357,7 @@ def write_records(records) -> None:
     if not records:
         return
     _append_span_lines(
-        "".join(json.dumps(record) + "\n" for record in records))
+        "".join([_span_line(record) for record in records]))
 
 
 def write_span(name: str, ctx: TraceContext, start: float, end: float,
@@ -316,8 +367,8 @@ def write_span(name: str, ctx: TraceContext, start: float, end: float,
     One JSON line, one ``O_APPEND`` write, so shard processes and gateway
     worker threads can share a file without tearing records.
     """
-    _append_span_lines(json.dumps(span_record(name, ctx, start, end,
-                                              attrs)) + "\n")
+    _append_span_lines(_span_line(span_record(name, ctx, start, end,
+                                              attrs)))
 
 
 # ---------------------------------------------------------------------- #
@@ -329,24 +380,37 @@ def current() -> Optional[TraceContext]:
     return stack[-1] if stack else None
 
 
-@contextlib.contextmanager
-def activate(ctx: Optional[TraceContext]) -> Iterator[Optional[TraceContext]]:
+class _Activation:
+    """Pushes a context on the thread's activation stack for a block."""
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: Optional[TraceContext]):
+        self.ctx = ctx
+
+    def __enter__(self) -> Optional[TraceContext]:
+        if self.ctx is not None:
+            stack = getattr(_local, "stack", None)
+            if stack is None:
+                stack = _local.stack = []
+            stack.append(self.ctx)
+        return self.ctx
+
+    def __exit__(self, *exc_info):
+        if self.ctx is not None:
+            _local.stack.pop()
+        return False
+
+
+def activate(ctx: Optional[TraceContext]) -> _Activation:
     """Make ``ctx`` the thread's active context for the block.
 
     ``None`` is accepted and is a no-op, so call sites never need an
-    ``if traced`` branch around the ``with``.
+    ``if traced`` branch around the ``with``.  A plain context-manager
+    object rather than a generator: it sits on every traced request's
+    serving path.
     """
-    if ctx is None:
-        yield None
-        return
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = _local.stack = []
-    stack.append(ctx)
-    try:
-        yield ctx
-    finally:
-        stack.pop()
+    return _Activation(ctx)
 
 
 class _NullTimer:

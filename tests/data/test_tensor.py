@@ -45,6 +45,20 @@ class TestConstruction:
         with pytest.raises(ShapeError):
             _make(np.zeros((1, 3)), mask=np.array([[0.5, 1.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [0.5, np.nan, 2.0, -1.0, np.inf,
+                                     1.0 + 1e-12])
+    def test_mask_values_other_than_zero_and_one_rejected(self, bad):
+        with pytest.raises(ShapeError):
+            _make(np.zeros((1, 3)), mask=np.array([[0.0, bad, 1.0]]))
+
+    @pytest.mark.parametrize("mask", [[[0.0, 1.0, 1.0]], [[-0.0, 1.0, 0.0]],
+                                      [[1.0, 1.0, 1.0]], [[0.0, 0.0, 0.0]],
+                                      [[False, True, True]], [[0, 1, 1]]])
+    def test_zero_one_masks_accepted(self, mask):
+        tensor = _make(np.zeros((1, 3)), mask=np.array(mask))
+        assert tensor.mask.dtype == np.float64
+        np.testing.assert_array_equal(tensor.mask, np.asarray(mask, float))
+
     def test_missing_fraction(self, tiny_tensor):
         assert tiny_tensor.missing_fraction == pytest.approx(4 / 60)
 

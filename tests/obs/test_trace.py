@@ -89,6 +89,50 @@ class TestWriteSpan:
         assert record["duration"] == 0.0
 
 
+class TestSpanLine:
+    """The direct span-line formatter reads back as ``json.dumps`` would."""
+
+    RECORDS = [
+        obs_trace.span_record("unit.stage", TraceContext("t" * 32, "s" * 16),
+                              18844.990287523, 18844.990289625,
+                              {"lane": "interactive", "batch_size": 8,
+                               "fused": True, "ratio": 0.25, "none": None}),
+        obs_trace.span_record('quote"é\n', TraceContext('t"', "s\\", "p\x00"),
+                              1.0, 1.5),
+        obs_trace.span_record("nested", TraceContext("t", "s", "p"), 0.0,
+                              2.0, {"list": [1, 2.5], "dict": {"x": "y"},
+                                    "nan": float("nan")}),
+        # Shapes the formatter does not own fall back to json.dumps.
+        obs_trace.span_record("inf", TraceContext("t", "s"), float("inf"),
+                              float("inf")),
+        obs_trace.span_record("wire parent", TraceContext("t", "s", 7), 1.0,
+                              2.0),
+        dict(obs_trace.span_record("extra", TraceContext("t", "s"), 1.0,
+                                   2.0), extra=[1]),
+        {"name": "bare"},
+    ]
+
+    def test_lines_read_back_like_json_dumps(self):
+        for record in self.RECORDS:
+            line = obs_trace._span_line(record)
+            assert line.endswith("}\n") and line.count("\n") == 1
+            back = json.loads(line)
+            want = json.loads(json.dumps(record))
+            assert list(back) == list(want)
+            for key, value in want.items():
+                if key in ("start", "duration"):
+                    # Times are written at nanosecond resolution.
+                    assert abs(back[key] - value) <= 1e-9 \
+                        or back[key] == value, (key, back[key], value)
+                elif key == "attrs" and "nan" in value:
+                    assert back[key]["nan"] != back[key]["nan"]
+                    assert {k: v for k, v in back[key].items()
+                            if k != "nan"} == {
+                        k: v for k, v in value.items() if k != "nan"}
+                else:
+                    assert back[key] == value, key
+
+
 class TestActivation:
     def test_stack_nests_and_unwinds(self):
         outer = TraceContext(trace_id="t", span_id="outer")
